@@ -1,8 +1,12 @@
-"""Compare the compiled and pure-Python simplex backends on the workloads
-that dominate the verification harness: separation LPs from hull extraction
-and exposed-diameter enumeration.
+"""Time the simplex backends on the separation LPs that dominate the
+verification harness: hull extraction, exposed-diameter pairs and the hull of
+a difference body.
 
-Run: python3 benchmarks/bench_lp.py
+For each LP shape it prints the pure-Python kernel one LP per call, the same
+LPs in one lockstep ``simplex_maximize_batch`` call, and the compiled kernel
+one LP per call when it is built.
+
+Run: PYTHONPATH=src python3 benchmarks/bench_lp.py
 """
 
 import time
@@ -19,28 +23,33 @@ except ImportError:
 
 
 def _lp_batch(rng, count, rows, cols):
-    batch = []
-    for _ in range(count):
-        D = rng.standard_normal((rows, cols))
-        n = cols
-        nv = 2 * n + 1
-        A = np.zeros((rows + 2 * n, nv))
-        A[:rows, :n] = -D
-        A[:rows, n : 2 * n] = D
-        A[:rows, 2 * n] = 1.0
-        A[rows : rows + n, :n] = np.eye(n)
-        A[rows + n :, n : 2 * n] = np.eye(n)
-        b = np.concatenate([np.zeros(rows), np.ones(2 * n)])
-        c = np.zeros(nv)
-        c[2 * n] = 1.0
-        batch.append((A, b, c, 1e-9 * max(1.0, float(np.abs(D).max()))))
-    return batch
+    """Margin programs over Gaussian direction lists, stacked as (A, b, c, tol)."""
+    D = rng.standard_normal((count, rows, cols))
+    n = cols
+    nv = 2 * n + 1
+    A = np.zeros((count, rows + 2 * n, nv))
+    A[:, :rows, :n] = -D
+    A[:, :rows, n : 2 * n] = D
+    A[:, :rows, 2 * n] = 1.0
+    A[:, rows : rows + n, :n] = np.eye(n)
+    A[:, rows + n :, n : 2 * n] = np.eye(n)
+    b = np.tile(np.concatenate([np.zeros(rows), np.ones(2 * n)]), (count, 1))
+    c = np.zeros(nv)
+    c[2 * n] = 1.0
+    tol = 1e-9 * np.maximum(1.0, np.abs(D).max(axis=(1, 2)))
+    return A, b, c, tol
 
 
-def _time(kernel, batch):
+def _time_each(kernel, A, b, c, tol):
     start = time.perf_counter()
-    for A, b, c, tol in batch:
-        kernel.simplex_maximize(A, b, c, tol)
+    for k in range(len(A)):
+        kernel.simplex_maximize(A[k], b[k], c, tol[k])
+    return time.perf_counter() - start
+
+
+def _time_batch(A, b, c, tol):
+    start = time.perf_counter()
+    _simplex_py.simplex_maximize_batch(A, b, c, tol)
     return time.perf_counter() - start
 
 
@@ -51,20 +60,23 @@ def main():
         ("diameter pair (22 rows, dim 4)", 2000, 22, 4),
         ("difference body (143 rows, dim 3)", 200, 143, 3),
     ]
-    print(f"{'workload':40s} {'python':>10s} {'cython':>10s} {'speedup':>8s}")
+    header = f"{'workload':36s} {'py per-LP':>10s} {'py batch':>10s} {'gain':>6s} {'cython':>10s}"
+    print(header)
     for name, count, rows, cols in shapes:
-        batch = _lp_batch(rng, count, rows, cols)
-        t_py = _time(_simplex_py, batch)
-        if _simplex_cy is None:
-            print(f"{name:40s} {t_py:9.3f}s    (no compiled backend)")
-            continue
-        t_cy = _time(_simplex_cy, batch)
-        print(f"{name:40s} {t_py:9.3f}s {t_cy:9.3f}s {t_py / t_cy:7.1f}x")
+        lps = _lp_batch(rng, count, rows, cols)
+        t_each = _time_each(_simplex_py, *lps)
+        t_batch = _time_batch(*lps)
+        t_cy = "-" if _simplex_cy is None else f"{_time_each(_simplex_cy, *lps):9.3f}s"
+        print(f"{name:36s} {t_each:9.3f}s {t_batch:9.3f}s {t_each / t_batch:5.1f}x {t_cy:>10s}")
 
-    # sanity: both backends agree on a fresh workload
+    # sanity: every row has first coordinate >= 0.1, so u = e1 separates
+    # them strictly and the optimal margin must be positive
     D = rng.standard_normal((15, 3))
+    D[:, 0] = np.abs(D[:, 0]) + 0.1
     delta, u = margin_direction(D)
     print(f"\nmargin_direction sanity: delta={delta:.6g}, |u|_inf={np.abs(u).max():.3f}")
+    if not delta > 0:
+        raise SystemExit("sanity check failed: separable set without a positive margin")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,22 @@
 """Dense tableau simplex, pure-Python backend.
 
-Mirrors the compiled kernel in ``_simplex_cy.pyx`` operation for operation,
-so both backends produce bit-identical pivots.
+``simplex_maximize_batch`` solves many same-shape LPs in lockstep: every
+pivot is a handful of numpy operations over all LPs still running, and an LP
+leaves the batch as soon as it is optimal or unbounded. Each LP follows
+exactly the pivot sequence of the scalar Bland's-rule loop that the compiled
+kernel in ``_simplex_cy.pyx`` runs, so results are bit-identical per LP,
+whatever else shares its batch. ``simplex_maximize`` is the one-LP case.
 """
 
 import numpy as np
 
 OPTIMAL = 0
 UNBOUNDED = 1
+
+# Largest number of tableau cells (float64) solved in one lockstep chunk.
+# It bounds the working set: an unchunked batch of large tableaux raised the
+# benchmark's peak memory by a fifth.
+CHUNK_CELLS = 2**15
 
 
 def simplex_maximize(A, b, c, tol):
@@ -19,49 +28,88 @@ def simplex_maximize(A, b, c, tol):
 
     Returns (status, objective, x).
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    c = np.ascontiguousarray(c, dtype=float)
-    m, n = A.shape
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    status, obj, x = simplex_maximize_batch(A[None], b[None], c, [tol])
+    return int(status[0]), obj[0], x[0]
+
+
+def simplex_maximize_batch(A, b, c, tol):
+    """Solve B programs max c.x, A[k] x <= b[k], x >= 0 (b[k] >= 0) at once.
+
+    A is (B, m, n), b is (B, m), c is (n,) and shared, tol is (B,), one
+    pivot tolerance per program. Returns (status[B], objective[B], x[B, n])
+    with the same values, bit for bit, as B calls of the scalar loop;
+    an unbounded program has objective 0.0 and x = 0.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    tol = np.asarray(tol, dtype=float)
+    B, m, n = A.shape
+    status = np.full(B, OPTIMAL)
+    obj = np.zeros(B)
+    x = np.zeros((B, n))
+    chunk = max(1, CHUNK_CELLS // ((m + 1) * (n + m + 1)))
+    for start in range(0, B, chunk):
+        part = slice(start, start + chunk)
+        _solve_chunk(A[part], b[part], c, tol[part], status[part], obj[part], x[part])
+    return status, obj, x
+
+
+def _solve_chunk(A, b, c, tol, status, obj, x):
+    """Lockstep pivots on one chunk; writes results into the output views."""
+    B, m, n = A.shape
+    if m == 0:  # no rows to pivot on: unbounded iff some column can enter
+        status[(c > tol[:, None]).any(axis=1)] = UNBOUNDED
+        return
     ncols = n + m
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = A
-    T[:m, n:ncols] = np.eye(m)
-    T[:m, ncols] = b
-    T[m, :n] = -c
-    basis = list(range(n, ncols))
+    T = np.zeros((B, m + 1, ncols + 1))
+    T[:, :m, :n] = A
+    T[:, np.arange(m), np.arange(n, ncols)] = 1.0
+    T[:, :m, ncols] = b
+    T[:, m, :n] = -c
+    basis = np.broadcast_to(np.arange(n, ncols), (B, m)).copy()
+    ids = np.arange(B)  # output slot of each tableau still in T
+    rows = np.arange(B)  # position in T, for per-LP fancy indexing
 
     while True:
-        col = -1
-        for j in range(ncols):
-            if T[m, j] < -tol:
-                col = j
-                break
-        if col < 0:
-            break
-        row = -1
-        best = 0.0
-        for i in range(m):
-            a = T[i, col]
-            if a > tol:
-                ratio = T[i, ncols] / a
-                if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    row = i
-                    best = ratio
-        if row < 0:
-            return UNBOUNDED, 0.0, np.zeros(n)
-        piv = T[row, col]
-        T[row, :] /= piv
-        for i in range(m + 1):
-            if i != row:
-                f = T[i, col]
-                if f != 0.0:
-                    T[i, :] -= f * T[row, :]
-                    T[i, col] = 0.0
-        basis[row] = col
+        # entering column: the lowest index with a reduced cost below -tol
+        enter = T[:, m, :ncols] < -tol[:, None]
+        has_col = enter.any(axis=1)
+        col = enter.argmax(axis=1)
 
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, ncols]
-    return OPTIMAL, T[m, ncols], x
+        # ratio test over rows with a > tol; ties go to the lowest basic index
+        a = T[rows, :m, col]
+        eligible = (a > tol[:, None]) & has_col[:, None]
+        ratio = np.divide(T[:, :m, ncols], a, out=np.full_like(a, np.inf), where=eligible)
+        tied = eligible & (ratio == ratio.min(axis=1)[:, None])
+        row = np.where(tied, basis, ncols).argmin(axis=1)
+        has_row = tied.any(axis=1)
+
+        if not has_row.all():
+            optimal = ~has_col
+            _extract(T[optimal], basis[optimal], ids[optimal], obj, x, n)
+            status[ids[has_col & ~has_row]] = UNBOUNDED
+            T, basis, ids, tol = T[has_row], basis[has_row], ids[has_row], tol[has_row]
+            col, row = col[has_row], row[has_row]
+            if not ids.size:
+                return
+            rows = np.arange(ids.size)
+
+        # pivot: normalize the pivot row, then subtract f * (pivot row) from
+        # every other row with f != 0; skipping f == 0 keeps signed zeros.
+        # The pivot column needs no explicit zeroing: it is f - f * 1.0 = +0.0.
+        prow = T[rows, row] / T[rows, row, col][:, None]
+        T[rows, row] = prow
+        f = T[rows, :, col]
+        f[rows, row] = 0.0
+        np.subtract(T, f[:, :, None] * prow[:, None, :], out=T, where=(f != 0.0)[:, :, None])
+        basis[rows, row] = col
+
+
+def _extract(T, basis, ids, obj, x, n):
+    """Objective and primal point of optimal tableaux into their output slots."""
+    obj[ids] = T[:, -1, -1]
+    lp, i = np.nonzero(basis < n)
+    x[ids[lp], basis[lp, i]] = T[lp, i, -1]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
-from .lp import margin_direction
-from .polytope import minkowski_sum, negate, scale_of, support
+from .lp import margin_direction, margin_directions
+from .polytope import minkowski_sum, negate, others_index, scale_of, support
 
 MARGIN_TOL = 1e-9
 PERTURB_RETRIES = 64
@@ -136,28 +136,30 @@ def exposed_diameters(P):
     V = P.vertices
     k = V.shape[0]
     tol = MARGIN_TOL * scale_of(P)
+    # all k(k-1)/2 pair programs in one batch, pairs in (i, j) row-major order
+    others = V[others_index(k)]
+    max_rows = V[:, None, :] - others
+    min_rows = others - V[:, None, :]
+    I, J = np.triu_indices(k, 1)
+    deltas, us = margin_directions(np.concatenate([max_rows[I], min_rows[J]], axis=1))
     out = []
-    for i in range(k):
-        max_rows = V[i] - np.delete(V, i, axis=0)
-        for j in range(i + 1, k):
-            min_rows = np.delete(V, j, axis=0) - V[j]
-            delta, u = margin_direction(np.vstack([max_rows, min_rows]))
-            if delta <= tol:
-                continue
-            u = u / np.linalg.norm(u)
-            hi = support(P, u)
-            lo = support(P, -u)
-            if hi.face != (i,) or lo.face != (j,):
-                continue
-            out.append(
-                ExposedDiameter(
-                    x=V[i],
-                    z=V[j],
-                    witness=u,
-                    margin_max=hi.margin,
-                    margin_min=lo.margin,
-                )
+    for i, j, delta, u in zip(I.tolist(), J.tolist(), deltas, us):
+        if delta <= tol:
+            continue
+        u = u / np.linalg.norm(u)
+        hi = support(P, u)
+        lo = support(P, -u)
+        if hi.face != (i,) or lo.face != (j,):
+            continue
+        out.append(
+            ExposedDiameter(
+                x=V[i],
+                z=V[j],
+                witness=u,
+                margin_max=hi.margin,
+                margin_min=lo.margin,
             )
+        )
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDims, DimensionMismatch, EmptyInput, ZeroDirection
-from .lp import margin_direction
+from .lp import margin_directions
 
 EXTREME_TOL = 1e-9
 FACE_TOL = 1e-9
@@ -64,6 +64,12 @@ def scale_of(P):
     return max(1.0, diameter(P))
 
 
+def others_index(k):
+    """(k, k-1) index array whose row i lists 0..k-1 without i, in order."""
+    j = np.arange(k - 1)
+    return j + (j >= np.arange(k)[:, None])
+
+
 def _canonical_sort(V, scale):
     """Lexicographic row order with a tolerance band on each comparison."""
     band = 1e-9 * scale
@@ -109,13 +115,9 @@ def extreme_points(points):
     V = np.array(kept)
 
     if V.shape[0] > 1:
-        extreme = []
-        for i in range(V.shape[0]):
-            others = np.delete(V, i, axis=0)
-            delta, _ = margin_direction(V[i] - others)
-            if delta > tol:
-                extreme.append(V[i])
-        V = np.array(extreme)
+        # all k "vertex minus the others" programs in one batch
+        deltas, _ = margin_directions(V[:, None, :] - V[others_index(V.shape[0])])
+        V = V[deltas > tol]
     return Polytope(_canonical_sort(V, scale))
 
 

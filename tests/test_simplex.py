@@ -8,8 +8,6 @@ from homproj import _simplex_py
 from homproj._simplex_py import OPTIMAL, UNBOUNDED
 from homproj.lp import BACKEND, margin_direction, simplex_maximize
 
-cython_kernel = pytest.importorskip("homproj._simplex_cy")
-
 
 def _random_instance(rng, m, n):
     A = rng.standard_normal((m, n))
@@ -41,6 +39,7 @@ def test_matches_scipy_on_random_instances():
 
 
 def test_backends_are_bit_identical():
+    cython_kernel = pytest.importorskip("homproj._simplex_cy")
     rng = np.random.default_rng(7)
     for _ in range(100):
         m = int(rng.integers(1, 15))
