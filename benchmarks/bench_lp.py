@@ -3,8 +3,8 @@ verification harness: hull extraction, exposed-diameter pairs and the hull of
 a difference body.
 
 For each LP shape it prints the pure-Python kernel one LP per call, the same
-LPs in one lockstep ``simplex_maximize_batch`` call, and the compiled kernel
-one LP per call when it is built.
+LPs in one lockstep ``simplex_maximize_batch`` call, and the same LPs in one
+batch call of the compiled kernel when it is built (``-`` otherwise).
 
 Run: PYTHONPATH=src python3 benchmarks/bench_lp.py
 """
@@ -14,12 +14,13 @@ import time
 import numpy as np
 
 from homproj import _simplex_py
+from homproj._simplex_ctypes import Kernel
 from homproj.lp import margin_direction
 
 try:
-    from homproj import _simplex_cy
-except ImportError:
-    _simplex_cy = None
+    c_kernel = Kernel()
+except OSError:  # the library is not built
+    c_kernel = None
 
 
 def _lp_batch(rng, count, rows, cols):
@@ -47,9 +48,9 @@ def _time_each(kernel, A, b, c, tol):
     return time.perf_counter() - start
 
 
-def _time_batch(A, b, c, tol):
+def _time_batch(kernel, A, b, c, tol):
     start = time.perf_counter()
-    _simplex_py.simplex_maximize_batch(A, b, c, tol)
+    kernel.simplex_maximize_batch(A, b, c, tol)
     return time.perf_counter() - start
 
 
@@ -60,14 +61,14 @@ def main():
         ("diameter pair (22 rows, dim 4)", 2000, 22, 4),
         ("difference body (143 rows, dim 3)", 200, 143, 3),
     ]
-    header = f"{'workload':36s} {'py per-LP':>10s} {'py batch':>10s} {'gain':>6s} {'cython':>10s}"
+    header = f"{'workload':36s} {'py per-LP':>10s} {'py batch':>10s} {'gain':>6s} {'C batch':>10s}"
     print(header)
     for name, count, rows, cols in shapes:
         lps = _lp_batch(rng, count, rows, cols)
         t_each = _time_each(_simplex_py, *lps)
-        t_batch = _time_batch(*lps)
-        t_cy = "-" if _simplex_cy is None else f"{_time_each(_simplex_cy, *lps):9.3f}s"
-        print(f"{name:36s} {t_each:9.3f}s {t_batch:9.3f}s {t_each / t_batch:5.1f}x {t_cy:>10s}")
+        t_batch = _time_batch(_simplex_py, *lps)
+        t_c = "-" if c_kernel is None else f"{_time_batch(c_kernel, *lps):9.3f}s"
+        print(f"{name:36s} {t_each:9.3f}s {t_batch:9.3f}s {t_each / t_batch:5.1f}x {t_c:>10s}")
 
     # sanity: every row has first coordinate >= 0.1, so u = e1 separates
     # them strictly and the optimal margin must be positive

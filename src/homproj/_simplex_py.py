@@ -4,7 +4,7 @@
 pivot is a handful of numpy operations over all LPs still running, and an LP
 leaves the batch as soon as it is optimal or unbounded. Each LP follows
 exactly the pivot sequence of the scalar Bland's-rule loop that the compiled
-kernel in ``_simplex_cy.pyx`` runs, so results are bit-identical per LP,
+kernel in ``_simplex.c`` runs, so results are bit-identical per LP,
 whatever else shares its batch. ``simplex_maximize`` is the one-LP case.
 """
 

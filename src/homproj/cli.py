@@ -6,7 +6,6 @@ Results go to stdout (or -o), warnings to stderr.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -17,10 +16,6 @@ from .exposed import antipodally_exposed_points, exposed_diameters
 from .geometry import random_frame
 from .homothety import detect_homothety
 from .polytope import minkowski_sum, project_polytope, random_polytope, support
-
-
-def _dump(doc):
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _write(text, path):
@@ -44,7 +39,20 @@ def _parse_direction(text):
         u = np.array([float(t) for t in text.split(",")])
     except ValueError:
         raise KernelError(f"bad direction {text!r}; expected comma-separated numbers")
+    if not np.all(np.isfinite(u)):
+        raise KernelError(f"bad direction {text!r}; entries must be finite")
     return u
+
+
+def _seed(text):
+    """argparse type of every --seed: numpy takes non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _diameter_doc(d):
@@ -93,7 +101,7 @@ def build_parser():
     p.add_argument("--frame", help="frame file")
     p.add_argument("--random-frame", type=int, metavar="M",
                    help="draw a random M-frame instead of reading one")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = cmd("minkowski", help="Minkowski sum of two polytopes")
     p.add_argument("first")
@@ -115,7 +123,7 @@ def build_parser():
     p.add_argument("second")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = cmd("verify-corollary1", help="sweep over m-frames containing a subspace")
     p.add_argument("first")
@@ -124,7 +132,7 @@ def build_parser():
                    help="frame file for S (omit for the zero subspace)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = cmd("verify-theorem2", help="all vertices antipodally exposed")
     p.add_argument("polytope")
@@ -138,14 +146,14 @@ def build_parser():
 
     p = cmd("verify-example1", help="paraboloid sharpness example")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = cmd("random", help="emit a random polytope (or frame with --frame-dim)")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--frame-dim", type=int, default=None,
                    help="emit a random frame of this sub-dimension instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 
@@ -165,7 +173,7 @@ def run(argv):
             "face_vertices": [P.vertices[i].tolist() for i in res.face],
             "margin": res.margin if res.margin != float("inf") else "inf",
         }
-        _write(_dump(doc), args.out)
+        _write(files._dumps(doc), args.out)
     elif cmd == "project":
         P = _read_polytope(args.polytope)
         if (args.frame is None) == (args.random_frame is None):
@@ -181,16 +189,16 @@ def run(argv):
     elif cmd == "diameters":
         P = _read_polytope(args.polytope)
         doc = {"diameters": [_diameter_doc(d) for d in exposed_diameters(P)]}
-        _write(_dump(doc), args.out)
+        _write(files._dumps(doc), args.out)
     elif cmd == "antipodal":
         P = _read_polytope(args.polytope)
         doc = {"points": [v.tolist() for v in antipodally_exposed_points(P)]}
-        _write(_dump(doc), args.out)
+        _write(files._dumps(doc), args.out)
     elif cmd == "homothety":
         result = detect_homothety(
             _read_polytope(args.first), _read_polytope(args.second), args.tol
         )
-        _write(_dump(_homothety_doc(result)), args.out)
+        _write(files._dumps(_homothety_doc(result)), args.out)
     elif cmd == "verify-theorem1":
         report = verify.verify_theorem1(
             _read_polytope(args.first), _read_polytope(args.second),

@@ -7,6 +7,7 @@ write(read(doc)) is the identity on canonical documents.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,6 +31,9 @@ def _matrix(doc, key):
         raise BadNumber(f"field {key!r} is not a numeric matrix") from exc
     if M.ndim != 2:
         raise FormatError(f"field {key!r} must be an array of equal-length arrays")
+    # numpy reads true as 1.0 and "2" as 2.0; JSON numbers only
+    if any(type(v) not in (int, float) for row in rows for v in row):
+        raise BadNumber(f"field {key!r} holds a value that is not a number")
     if not np.all(np.isfinite(M)):
         raise BadNumber(f"field {key!r} contains a non-finite number")
     return M
@@ -98,7 +102,7 @@ def paraboloid_to_text(spec):
 
 
 def report_to_text(report):
-    return _dumps(_finite_only(report.to_dict()))
+    return _dumps(_finite_only(asdict(report)))
 
 
 def _finite_only(obj):
@@ -120,8 +124,3 @@ def read_polytope(path):
 def read_frame(path):
     with open(path, encoding="utf-8") as fh:
         return frame_from_text(fh.read())
-
-
-def read_paraboloid(path):
-    with open(path, encoding="utf-8") as fh:
-        return paraboloid_from_text(fh.read())

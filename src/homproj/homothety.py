@@ -1,5 +1,6 @@
 """Homotheties x -> z + lambda * x and detection of homothetic polytopes."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ def detect_homothety(P1, P2, tol=DEFAULT_TOL):
     """
     if P1.dim != P2.dim:
         raise DimensionMismatch(f"dims {P1.dim} vs {P2.dim}")
-    if tol <= 0.0:
-        raise BadTolerance(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise BadTolerance(f"tolerance must be finite and positive, got {tol}")
     if P1.num_vertices != P2.num_vertices:
         return None
     scale = scale_of(P1)

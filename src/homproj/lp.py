@@ -7,38 +7,31 @@ strict separation (extreme point, exposed vertex, exposed diameter).
 
 Callers that need many such programs at once (all k LPs of one hull, all
 pair LPs of one diameter enumeration) pass them together to
-``margin_directions``; the pure-Python kernel then solves them in lockstep.
-The parity contract is per LP: each result is bit-identical to solving that
+``margin_directions``, which hands them to the kernel in one batch call. The
+parity contract is per LP: each result is bit-identical to solving that
 program alone, on either backend.
 
-The compiled kernel is preferred; set HOMPROJ_FORCE_PYTHON=1 to force the
-pure-Python fallback (used by the benchmark and parity tests).
+The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used
+when its library loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy
+fallback ``_simplex_py`` is.
 """
 
 import os
 
 import numpy as np
 
+from . import _simplex_py
 from ._simplex_py import OPTIMAL
 
 if os.environ.get("HOMPROJ_FORCE_PYTHON"):
-    from . import _simplex_py as _kernel
-
-    BACKEND = "python"
+    _kernel, BACKEND = _simplex_py, "python"
 else:
     try:
-        from . import _simplex_cy as _kernel
+        from ._simplex_ctypes import Kernel
 
-        BACKEND = "cython"
-    except ImportError:
-        from . import _simplex_py as _kernel
-
-        BACKEND = "python"
-
-
-def simplex_maximize(A, b, c, tol):
-    """Solve max c.x, A x <= b, x >= 0 (b >= 0) with the active backend."""
-    return _kernel.simplex_maximize(A, b, c, tol)
+        _kernel, BACKEND = Kernel(), "c"
+    except OSError:
+        _kernel, BACKEND = _simplex_py, "python"
 
 
 def margin_direction(dirs):
@@ -58,9 +51,9 @@ def margin_directions(Ds):
     """``margin_direction`` for each of B same-shape direction lists at once.
 
     Ds is (B, m, n); returns (delta[B], u[B, n]). The B margin programs are
-    assembled in one array and, on the Python backend, solved in lockstep;
-    each result equals, bit for bit, that of its own ``margin_direction``
-    call. Each program keeps its own pivot tolerance 1e-9 * max(1, max|D|).
+    assembled in one array and solved in one kernel call; each result
+    equals, bit for bit, that of its own ``margin_direction`` call. Each
+    program keeps its own pivot tolerance 1e-9 * max(1, max|D|).
     """
     Ds = np.asarray(Ds, dtype=float)
     if Ds.ndim != 3 or Ds.shape[1] == 0 or Ds.shape[2] == 0:
@@ -78,12 +71,7 @@ def margin_directions(Ds):
     c = np.zeros(nv)
     c[2 * n] = 1.0
     tol = 1e-9 * np.fmax(1.0, np.abs(Ds).max(axis=(1, 2), initial=0.0))
-    if BACKEND == "python":
-        status, obj, x = _kernel.simplex_maximize_batch(A, np.broadcast_to(b, (B, b.size)), c, tol)
-    else:
-        # the compiled kernel has no batch entry point: one call per program
-        solved = [_kernel.simplex_maximize(A[k], b, c, float(tol[k])) for k in range(B)]
-        status, obj, x = (np.array(part) for part in zip(*solved))
+    status, obj, x = _kernel.simplex_maximize_batch(A, np.broadcast_to(b, (B, b.size)), c, tol)
     if np.any(status != OPTIMAL):
         raise RuntimeError("separation LP unbounded; inputs are not finite")
     return obj, x[:, :n] - x[:, n : 2 * n]

@@ -39,17 +39,6 @@ class Report:
     existential: bool = False
     witnesses: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "check_name": self.check_name,
-            "instances_run": self.instances_run,
-            "passes": self.passes,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "existential": self.existential,
-            "witnesses": self.witnesses,
-        }
-
 
 def _subseed(seed, index):
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])

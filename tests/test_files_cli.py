@@ -181,3 +181,54 @@ def test_cli_random_polytope_and_frame(capsys):
     assert main(["random", "--dim", "3", "--frame-dim", "2", "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ambient_dim"] == 3 and doc["sub_dim"] == 2
+
+
+TRIANGLE = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+CUBE = {"dim": 3, "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
+SKEW_TRIANGLE = {"dim": 2, "vertices": [[0, 0], [3, 0], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every --seed option: numpy rejects negative seeds
+        ["random", "--dim", "3", "--seed", "-1"],
+        ["random", "--dim", "3", "--frame-dim", "2", "--seed", "-1"],
+        ["project", "{square}", "--random-frame", "1", "--seed", "-1"],
+        ["verify-theorem1", "{cube}", "{cube}", "--m", "2", "--samples", "1", "--seed", "-1"],
+        ["verify-corollary1", "{cube}", "{cube}", "--m", "2", "--samples", "1", "--seed", "-1"],
+        ["verify-example1", "--samples", "1", "--seed", "-1"],
+        ["random", "--dim", "3", "--seed", "x"],
+        # a tolerance must be finite and positive; nan used to say "homothetic"
+        ["homothety", "{triangle}", "{skew}", "--tol", "nan"],
+        ["homothety", "{triangle}", "{skew}", "--tol", "inf"],
+        ["homothety", "{triangle}", "{skew}", "--tol", "0"],
+        # non-finite directions used to print "value": NaN, which is not JSON
+        ["support", "{square}", "--dir", "nan,1"],
+        ["support", "{square}", "--dir", "inf,1"],
+        # JSON true, or a string, is not a number
+        ["hull", "{bool_vertex}"],
+        ["hull", "{string_vertex}"],
+    ],
+)
+def test_cli_bad_arguments_exit_2(argv, tmp_path, capsys):
+    paths = {
+        "square": _write(tmp_path, "square.json", SQUARE_DOC),
+        "cube": _write(tmp_path, "cube.json", json.dumps(CUBE)),
+        "triangle": _write(tmp_path, "tri.json", json.dumps(TRIANGLE)),
+        "skew": _write(tmp_path, "skew.json", json.dumps(SKEW_TRIANGLE)),
+        "bool_vertex": _write(
+            tmp_path, "bool.json", '{"dim": 2, "vertices": [[0,0],[1,0],[0,true]]}'
+        ),
+        "string_vertex": _write(
+            tmp_path, "str.json", '{"dim": 2, "vertices": [[0,0],[1,0],[0,"1"]]}'
+        ),
+    }
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse rejects a value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert any(line.startswith("error:") or ": error:" in line for line in captured.err.splitlines())

@@ -57,8 +57,9 @@ def test_detect_centrally_symmetric_prefers_positive():
 
 
 def test_detect_bad_tolerance(square):
-    with pytest.raises(BadTolerance):
-        detect_homothety(square, square, 0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(BadTolerance):
+            detect_homothety(square, square, tol)
 
 
 def test_set_equal_tolerates_noise(square):

@@ -1,12 +1,21 @@
 """The LP kernel against scipy's solver, plus backend parity."""
 
+import shutil
+import subprocess
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from homproj import _simplex_py
+import homproj as hp
+from homproj import _simplex_py, lp
+from homproj._simplex_ctypes import Kernel
 from homproj._simplex_py import OPTIMAL, UNBOUNDED
-from homproj.lp import BACKEND, margin_direction, simplex_maximize
+from homproj.lp import BACKEND, margin_direction
+
+KERNEL_SOURCE = Path(hp.__file__).with_name("_simplex.c")
 
 
 def _random_instance(rng, m, n):
@@ -22,7 +31,7 @@ def test_matches_scipy_on_random_instances():
         m = int(rng.integers(1, 12))
         n = int(rng.integers(1, 8))
         A, b, c = _random_instance(rng, m, n)
-        status, obj, x = simplex_maximize(A, b, c, 1e-9)
+        status, obj, x = lp._kernel.simplex_maximize(A, b, c, 1e-9)
         if status == UNBOUNDED:
             # confirm with a recession-ray certificate (the problem itself is
             # always feasible since b >= 0, but HiGHS statuses on unbounded
@@ -38,18 +47,81 @@ def test_matches_scipy_on_random_instances():
             assert np.all(x >= -1e-12)
 
 
-def test_backends_are_bit_identical():
-    cython_kernel = pytest.importorskip("homproj._simplex_cy")
+@pytest.fixture(scope="module")
+def c_kernel(tmp_path_factory):
+    """``_simplex.c`` compiled with the flags setup.py gives, in a temp dir."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH")
+    out = tmp_path_factory.mktemp("kernel")
+    subprocess.run(
+        ["gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
+         str(KERNEL_SOURCE), "-o", str(out / "_simplex_c.so")],
+        check=True,
+    )
+    return Kernel(out)
+
+
+def _assert_same_bytes(c_kernel, A, b, c, tol):
+    """Both kernels on one batch: status, objective and x byte for byte."""
+    ref = _simplex_py.simplex_maximize_batch(A, b, c, tol)
+    got = c_kernel.simplex_maximize_batch(A, b, c, tol)
+    for r, g in zip(ref, got):
+        assert r.dtype == g.dtype and r.tobytes() == g.tobytes()
+    return ref
+
+
+def test_backends_are_bit_identical(c_kernel):
+    # general programs, with m = 0, UNBOUNDED cases, -0.0 in b and, in every
+    # other program, entries rounded to 0.1 for ratio ties
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        m = int(rng.integers(1, 15))
-        n = int(rng.integers(1, 8))
-        A, b, c = _random_instance(rng, m, n)
-        r_py = _simplex_py.simplex_maximize(A, b, c, 1e-9)
-        r_cy = cython_kernel.simplex_maximize(A, b, c, 1e-9)
-        assert r_py[0] == r_cy[0]
-        assert r_py[1] == r_cy[1]  # exact: same pivot sequence
-        assert np.array_equal(r_py[2], r_cy[2])
+    statuses, negative_zeros = set(), 0
+    for m, n in ((0, 3), (1, 2), (6, 4), (3, 5), (8, 3), (14, 7)):
+        B = 120
+        A = rng.standard_normal((B, m, n))
+        A[::2] = np.round(A[::2], 1)
+        b = rng.uniform(0.0, 2.0, (B, m))
+        b[::3, : m // 2] = -0.0
+        for c in (rng.standard_normal(n), -np.abs(rng.standard_normal(n))):
+            status, _, x = _assert_same_bytes(c_kernel, A, b, c, np.full(B, 1e-9))
+            statuses.update(status.tolist())
+            negative_zeros += np.count_nonzero((x == 0.0) & np.signbit(x))
+    assert statuses == {OPTIMAL, UNBOUNDED} and negative_zeros > 0
+
+    # B = 1 through simplex_maximize
+    A, b, c = _random_instance(rng, 5, 3)
+    got = c_kernel.simplex_maximize(A, b, c, 1e-9)
+    ref = _simplex_py.simplex_maximize(A, b, c, 1e-9)
+    assert got[0] == ref[0] and got[1].tobytes() == ref[1].tobytes()
+    assert got[2].tobytes() == ref[2].tobytes()
+
+
+def test_backends_are_bit_identical_on_margin_programs(c_kernel, monkeypatch):
+    # record the batches lp.margin_directions builds for hulls, diameters and
+    # rounded (tie-heavy) direction lists, then solve each on both kernels
+    batches = []
+
+    def recording(A, b, c, tol):
+        batches.append((A, b, c, tol))
+        return _simplex_py.simplex_maximize_batch(A, b, c, tol)
+
+    monkeypatch.setattr(lp, "_kernel", SimpleNamespace(simplex_maximize_batch=recording))
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4):
+        for seed in range(4):
+            P = hp.random_polytope(n, 10, 100 * n + seed)
+            hp.exposed_diameters(P)
+            hp.extreme_points(np.round(rng.standard_normal((12, n)), 1))
+    lp.margin_directions(np.round(rng.standard_normal((50, 11, 3)), 1))
+    assert len(batches) > 20
+    for A, b, c, tol in batches:
+        _assert_same_bytes(c_kernel, A, b, c, tol)
+
+
+def test_c_kernel_refuses_a_missing_library_and_bad_shapes(c_kernel, tmp_path):
+    with pytest.raises(OSError):
+        Kernel(tmp_path)
+    with pytest.raises(ValueError):
+        c_kernel.simplex_maximize_batch(np.zeros((2, 3, 4)), np.zeros((2, 4)), np.zeros(4), [1e-9] * 2)
 
 
 def test_margin_direction_separates_box_corner():
@@ -70,4 +142,4 @@ def test_margin_direction_interior_point_not_separable():
 
 
 def test_backend_reported():
-    assert BACKEND in ("cython", "python")
+    assert BACKEND in ("c", "python")
