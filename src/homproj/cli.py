@@ -14,16 +14,8 @@ from . import files, verify
 from .errors import KernelError
 from .exposed import antipodally_exposed_points, exposed_diameters
 from .geometry import random_frame
-from .homothety import detect_homothety
+from .homothety import detect_homothety, homothety_record
 from .polytope import minkowski_sum, project_polytope, random_polytope, support
-
-
-def _write(text, path):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _read_polytope(path):
@@ -32,6 +24,10 @@ def _read_polytope(path):
         print(f"warning: dropped {dropped} non-extreme point(s) from {path}",
               file=sys.stderr)
     return P
+
+
+def _read_pair(args):
+    return _read_polytope(args.first), _read_polytope(args.second)
 
 
 def _parse_direction(text):
@@ -55,25 +51,114 @@ def _seed(text):
     return value
 
 
-def _diameter_doc(d):
+def _support(args):
+    P = _read_polytope(args.polytope)
+    res = support(P, _parse_direction(args.dir))
     return {
-        "x": d.x.tolist(),
-        "z": d.z.tolist(),
-        "witness": d.witness.tolist(),
-        "margin_max": d.margin_max,
-        "margin_min": d.margin_min,
+        "value": res.value,
+        "face_indices": list(res.face),
+        "face_vertices": [P.vertices[i].tolist() for i in res.face],
+        "margin": res.margin,
     }
 
 
-def _homothety_doc(result):
-    if result is None:
-        return {"homothetic": False}
-    return {
-        "homothetic": True,
-        "z": result.shift.tolist(),
-        "lambda": result.ratio,
-        "residual": result.residual,
-    }
+def _project(args):
+    P = _read_polytope(args.polytope)
+    if (args.frame is None) == (args.random_frame is None):
+        raise KernelError("give exactly one of --frame or --random-frame")
+    if args.frame:
+        frame = files.read_frame(args.frame)
+    else:
+        frame = random_frame(P.dim, args.random_frame, args.seed)
+    return project_polytope(P, frame)
+
+
+def _diameters(args):
+    return {"diameters": [
+        {
+            "x": d.x.tolist(),
+            "z": d.z.tolist(),
+            "witness": d.witness.tolist(),
+            "margin_max": d.margin_max,
+            "margin_min": d.margin_min,
+        }
+        for d in exposed_diameters(_read_polytope(args.polytope))
+    ]}
+
+
+def _homothety(args):
+    record = homothety_record(detect_homothety(*_read_pair(args), args.tol))
+    return {"homothetic": record is not None, **(record or {})}
+
+
+def _corollary1(args):
+    P1, P2 = _read_pair(args)
+    sub = files.read_frame(args.subspace) if args.subspace else None
+    return verify.verify_corollary1(P1, P2, sub, args.m, args.samples, args.seed)
+
+
+def _random(args):
+    if args.frame_dim is not None:
+        return random_frame(args.dim, args.frame_dim, args.seed)
+    return random_polytope(args.dim, args.points, args.seed)
+
+
+# Argument groups shared by several commands: (flags, add_argument keywords).
+POLYTOPE = [(("polytope",), {})]
+PAIR = [(("first",), {}), (("second",), {})]
+M = [(("--m",), {"type": int, "required": True})]
+SAMPLES = [(("--samples",), {"type": int, "default": 100})]
+SEED = [(("--seed",), {"type": _seed, "default": 0})]
+
+# (name, help, arguments, handler). A handler takes the parsed arguments and
+# returns what the command prints: a Polytope, a Frame, a Report or a
+# JSON-ready dict, which files.to_text turns into the document.
+COMMANDS = [
+    ("hull", "canonicalize a point set to its extreme points",
+     [(("points",), {})], lambda a: _read_polytope(a.points)),
+    ("support", "support function value and face in a direction",
+     POLYTOPE + [(("--dir",), {"required": True, "help": "comma-separated direction"})],
+     _support),
+    ("project", "orthogonal projection onto a subspace frame",
+     POLYTOPE + [
+         (("--frame",), {"help": "frame file"}),
+         (("--random-frame",), {"type": int, "metavar": "M",
+                                "help": "draw a random M-frame instead of reading one"}),
+     ] + SEED,
+     _project),
+    ("minkowski", "Minkowski sum of two polytopes",
+     PAIR, lambda a: minkowski_sum(*_read_pair(a))),
+    ("diameters", "all exposed diameters", POLYTOPE, _diameters),
+    ("antipodal", "antipodally exposed points",
+     POLYTOPE, lambda a: {"points": [
+         v.tolist() for v in antipodally_exposed_points(_read_polytope(a.polytope))
+     ]}),
+    ("homothety", "detect a homothety between two polytopes",
+     PAIR + [(("--tol",), {"type": float, "default": 1e-9})], _homothety),
+    ("verify-theorem1", "projection sweep over random m-frames",
+     PAIR + M + SAMPLES + SEED,
+     lambda a: verify.verify_theorem1(*_read_pair(a), a.m, a.samples, a.seed)),
+    ("verify-corollary1", "sweep over m-frames containing a subspace",
+     PAIR + [(("--subspace",), {"help": "frame file for S (omit for the zero subspace)"})]
+     + M + SAMPLES + SEED,
+     _corollary1),
+    ("verify-theorem2", "all vertices antipodally exposed",
+     POLYTOPE, lambda a: verify.verify_theorem2(_read_polytope(a.polytope))),
+    ("verify-lemma-parallel", "no two exposed diameters parallel",
+     POLYTOPE, lambda a: verify.verify_no_parallel_diameters(_read_polytope(a.polytope))),
+    ("verify-transfer", "exposed diameters map under the homothety",
+     PAIR, lambda a: verify.verify_diameter_transfer(*_read_pair(a))),
+    ("verify-example1", "paraboloid sharpness example",
+     SAMPLES + SEED, lambda a: verify.verify_example1(a.samples, a.seed)),
+    ("random", "emit a random polytope (or frame with --frame-dim)",
+     [
+         (("--dim",), {"type": int, "required": True}),
+         (("--points",), {"type": int, "default": 8}),
+         (("--frame-dim",), {"type": int,
+                             "help": "emit a random frame of this sub-dimension instead"}),
+     ] + SEED,
+     _random),
+]
 
 
 def build_parser():
@@ -83,175 +168,33 @@ def build_parser():
         "homothety detection, and theorem-level verification checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, help_text, arguments, handler in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("-o", dest="out", default=None, help="output path")
-        return p
-
-    p = cmd("hull", help="canonicalize a point set to its extreme points")
-    p.add_argument("points")
-
-    p = cmd("support", help="support function value and face in a direction")
-    p.add_argument("polytope")
-    p.add_argument("--dir", required=True, help="comma-separated direction")
-
-    p = cmd("project", help="orthogonal projection onto a subspace frame")
-    p.add_argument("polytope")
-    p.add_argument("--frame", help="frame file")
-    p.add_argument("--random-frame", type=int, metavar="M",
-                   help="draw a random M-frame instead of reading one")
-    p.add_argument("--seed", type=_seed, default=0)
-
-    p = cmd("minkowski", help="Minkowski sum of two polytopes")
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = cmd("diameters", help="all exposed diameters")
-    p.add_argument("polytope")
-
-    p = cmd("antipodal", help="antipodally exposed points")
-    p.add_argument("polytope")
-
-    p = cmd("homothety", help="detect a homothety between two polytopes")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = cmd("verify-theorem1", help="projection sweep over random m-frames")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
-
-    p = cmd("verify-corollary1", help="sweep over m-frames containing a subspace")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--subspace", default=None,
-                   help="frame file for S (omit for the zero subspace)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
-
-    p = cmd("verify-theorem2", help="all vertices antipodally exposed")
-    p.add_argument("polytope")
-
-    p = cmd("verify-lemma-parallel", help="no two exposed diameters parallel")
-    p.add_argument("polytope")
-
-    p = cmd("verify-transfer", help="exposed diameters map under the homothety")
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = cmd("verify-example1", help="paraboloid sharpness example")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
-
-    p = cmd("random", help="emit a random polytope (or frame with --frame-dim)")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--points", type=int, default=8)
-    p.add_argument("--frame-dim", type=int, default=None,
-                   help="emit a random frame of this sub-dimension instead")
-    p.add_argument("--seed", type=_seed, default=0)
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv):
     args = build_parser().parse_args(argv)
-    cmd = args.command
-
-    if cmd == "hull":
-        _write(files.polytope_to_text(_read_polytope(args.points)), args.out)
-    elif cmd == "support":
-        P = _read_polytope(args.polytope)
-        res = support(P, _parse_direction(args.dir))
-        doc = {
-            "value": res.value,
-            "face_indices": list(res.face),
-            "face_vertices": [P.vertices[i].tolist() for i in res.face],
-            "margin": res.margin if res.margin != float("inf") else "inf",
-        }
-        _write(files._dumps(doc), args.out)
-    elif cmd == "project":
-        P = _read_polytope(args.polytope)
-        if (args.frame is None) == (args.random_frame is None):
-            raise KernelError("give exactly one of --frame or --random-frame")
-        if args.frame:
-            frame = files.read_frame(args.frame)
-        else:
-            frame = random_frame(P.dim, args.random_frame, args.seed)
-        _write(files.polytope_to_text(project_polytope(P, frame)), args.out)
-    elif cmd == "minkowski":
-        S = minkowski_sum(_read_polytope(args.first), _read_polytope(args.second))
-        _write(files.polytope_to_text(S), args.out)
-    elif cmd == "diameters":
-        P = _read_polytope(args.polytope)
-        doc = {"diameters": [_diameter_doc(d) for d in exposed_diameters(P)]}
-        _write(files._dumps(doc), args.out)
-    elif cmd == "antipodal":
-        P = _read_polytope(args.polytope)
-        doc = {"points": [v.tolist() for v in antipodally_exposed_points(P)]}
-        _write(files._dumps(doc), args.out)
-    elif cmd == "homothety":
-        result = detect_homothety(
-            _read_polytope(args.first), _read_polytope(args.second), args.tol
-        )
-        _write(files._dumps(_homothety_doc(result)), args.out)
-    elif cmd == "verify-theorem1":
-        report = verify.verify_theorem1(
-            _read_polytope(args.first), _read_polytope(args.second),
-            args.m, args.samples, args.seed,
-        )
-        _write(files.report_to_text(report), args.out)
-        return 1 if report.verdict == "fail" else 0
-    elif cmd == "verify-corollary1":
-        report = verify.verify_corollary1(
-            _read_polytope(args.first), _read_polytope(args.second),
-            files.read_frame(args.subspace) if args.subspace else None,
-            args.m, args.samples, args.seed,
-        )
-        _write(files.report_to_text(report), args.out)
-        return 1 if report.verdict == "fail" else 0
-    elif cmd == "verify-theorem2":
-        report = verify.verify_theorem2(_read_polytope(args.polytope))
-        _write(files.report_to_text(report), args.out)
-        return 1 if report.verdict == "fail" else 0
-    elif cmd == "verify-lemma-parallel":
-        report = verify.verify_no_parallel_diameters(_read_polytope(args.polytope))
-        _write(files.report_to_text(report), args.out)
-        return 1 if report.verdict == "fail" else 0
-    elif cmd == "verify-transfer":
-        report = verify.verify_diameter_transfer(
-            _read_polytope(args.first), _read_polytope(args.second)
-        )
-        _write(files.report_to_text(report), args.out)
-        return 1 if report.verdict == "fail" else 0
-    elif cmd == "verify-example1":
-        report = verify.verify_example1(args.samples, args.seed)
-        _write(files.report_to_text(report), args.out)
-        return 1 if report.verdict == "fail" else 0
-    elif cmd == "random":
-        if args.frame_dim is not None:
-            frame = random_frame(args.dim, args.frame_dim, args.seed)
-            _write(files.frame_to_text(frame), args.out)
-        else:
-            P = random_polytope(args.dim, args.points, args.seed)
-            _write(files.polytope_to_text(P), args.out)
-    return 0
+    result = args.handler(args)
+    text = files.to_text(result)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 1 if isinstance(result, verify.Report) and result.verdict == "fail" else 0
 
 
 def main(argv=None):
     try:
-        code = run(sys.argv[1:] if argv is None else argv)
-    except KernelError as exc:
+        return run(sys.argv[1:] if argv is None else argv)
+    except (KernelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Readers canonicalize (the polytope reader runs extreme-point extraction);
 writers emit canonical order with shortest round-trip decimal floats, so
-write(read(doc)) is the identity on canonical documents.
+write(read(doc)) is the identity on canonical documents. Every document the
+package writes goes through ``_dumps``; non-finite floats become strings.
 """
 
 import json
@@ -14,7 +15,8 @@ import numpy as np
 from .errors import BadNumber, FormatError, MissingField
 from .geometry import Frame
 from .paraboloid import ParaboloidSpec
-from .polytope import extreme_points
+from .polytope import Polytope, extreme_points
+from .verify import Report
 
 
 def _require(doc, key):
@@ -50,7 +52,29 @@ def _loads(text):
 
 
 def _dumps(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_finite_only(doc), indent=2) + "\n"
+
+
+def _finite_only(obj):
+    """Replace non-finite floats (inf margins) with strings JSON can carry."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: _finite_only(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_only(v) for v in obj]
+    return obj
+
+
+def to_text(obj):
+    """Document text of a Polytope, a Frame, a Report or a JSON-ready dict."""
+    if isinstance(obj, Polytope):
+        return polytope_to_text(obj)
+    if isinstance(obj, Frame):
+        return frame_to_text(obj)
+    if isinstance(obj, Report):
+        return report_to_text(obj)
+    return _dumps(obj)
 
 
 def polytope_from_text(text):
@@ -102,18 +126,7 @@ def paraboloid_to_text(spec):
 
 
 def report_to_text(report):
-    return _dumps(_finite_only(asdict(report)))
-
-
-def _finite_only(obj):
-    """Replace non-finite floats (inf margins) with strings JSON can carry."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {k: _finite_only(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_finite_only(v) for v in obj]
-    return obj
+    return _dumps(asdict(report))
 
 
 def read_polytope(path):

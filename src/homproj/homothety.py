@@ -31,6 +31,17 @@ def apply_homothety(P, z, ratio):
     return Polytope(_canonical_sort(V, max(1.0, abs(ratio) * diameter(P))))
 
 
+def homothety_record(result):
+    """JSON-ready record of a detected homothety; None when there is none."""
+    if result is None:
+        return None
+    return {
+        "z": result.shift.tolist(),
+        "lambda": result.ratio,
+        "residual": result.residual,
+    }
+
+
 def _match_bijection(V1, V2, dist_tol):
     """Max distance of the nearest-neighbor bijection V1 -> V2, or None.
 

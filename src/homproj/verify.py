@@ -10,7 +10,7 @@ import numpy as np
 from .errors import BadDims, SingletonInput
 from .exposed import antipodally_exposed_points, exposed_diameters
 from .geometry import frame_containing, random_frame
-from .homothety import apply_homothety, detect_homothety, set_equal
+from .homothety import apply_homothety, detect_homothety, homothety_record, set_equal
 from .paraboloid import (
     ParaboloidSpec,
     parabola_homothety,
@@ -44,22 +44,12 @@ def _subseed(seed, index):
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _homothety_record(result):
-    if result is None:
-        return None
-    return {
-        "z": result.shift.tolist(),
-        "lambda": result.ratio,
-        "residual": result.residual,
-    }
-
-
 def _projection_record(frame, Q1, Q2, result):
     return {
         "frame": frame.basis.tolist(),
         "projection_1": Q1.vertices.tolist(),
         "projection_2": Q2.vertices.tolist(),
-        "homothety": _homothety_record(result),
+        "homothety": homothety_record(result),
     }
 
 
@@ -102,7 +92,7 @@ def _projection_sweep(name, P1, P2, frames, seed):
             seed=seed,
             verdict=verdict,
             witnesses=witnesses
-            + [{"direct_homothety": _homothety_record(direct)}],
+            + [{"direct_homothety": homothety_record(direct)}],
         )
     if first_bad is not None:
         witnesses.append(first_bad)
@@ -178,35 +168,35 @@ def verify_theorem2(P):
 
 
 def verify_no_parallel_diameters(P):
-    """No two distinct exposed diameters may be parallel."""
+    """No two distinct exposed diameters may be parallel.
+
+    Two unit directions d_i, d_j count as parallel when
+    min(|d_i - d_j|, |d_i + d_j|) = 2 sin(theta / 2) <= PARALLEL_TOL, theta
+    the angle between the lines; unlike 1 - |cos theta| it does not cancel
+    at small angles.
+    """
     if P.num_vertices < 2:
         raise SingletonInput("needs at least two vertices")
     diams = exposed_diameters(P)
-    dirs = []
-    for d in diams:
-        u = d.x - d.z
-        dirs.append(u / np.linalg.norm(u))
-    pairs = 0
-    passes = 0
-    witnesses = []
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            pairs += 1
-            if abs(float(dirs[i] @ dirs[j])) < 1.0 - PARALLEL_TOL:
-                passes += 1
-            else:
-                witnesses.append(
-                    {
-                        "diameter_1": [diams[i].x.tolist(), diams[i].z.tolist()],
-                        "diameter_2": [diams[j].x.tolist(), diams[j].z.tolist()],
-                    }
-                )
+    U = np.array([d.x - d.z for d in diams]).reshape(len(diams), P.dim)
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    I, J = np.triu_indices(len(diams), 1)
+    gaps = np.minimum(np.linalg.norm(U[I] - U[J], axis=1), np.linalg.norm(U[I] + U[J], axis=1))
+    witnesses = [
+        {
+            "diameter_1": [diams[i].x.tolist(), diams[i].z.tolist()],
+            "diameter_2": [diams[j].x.tolist(), diams[j].z.tolist()],
+        }
+        for i, j, gap in zip(I.tolist(), J.tolist(), gaps.tolist())
+        if not gap > PARALLEL_TOL
+    ]
+    pairs = len(gaps)
     return Report(
         check_name="no_parallel_diameters",
         instances_run=pairs,
-        passes=passes,
+        passes=pairs - len(witnesses),
         seed=0,
-        verdict="pass" if passes == pairs else "fail",
+        verdict="pass" if not witnesses else "fail",
         witnesses=witnesses,
     )
 

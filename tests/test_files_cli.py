@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from homproj import files
-from homproj.cli import main
+from homproj.cli import COMMANDS, build_parser, main
 from homproj.errors import FormatError, MissingField
 
 SQUARE_DOC = json.dumps(
@@ -209,6 +212,14 @@ SKEW_TRIANGLE = {"dim": 2, "vertices": [[0, 0], [3, 0], [1, 1]]}
         # JSON true, or a string, is not a number
         ["hull", "{bool_vertex}"],
         ["hull", "{string_vertex}"],
+        # counts and dimensions out of range
+        ["verify-theorem1", "{cube}", "{cube}", "--m", "2", "--samples", "-1"],
+        ["verify-example1", "--samples", "-1"],
+        ["random", "--dim", "3", "--points", "-1"],
+        ["random", "--dim", "0"],
+        ["random", "--dim", "2", "--frame-dim", "3"],
+        ["project", "{square}", "--random-frame", "3"],
+        ["verify-corollary1", "{cube}", "{cube}", "--m", "9"],
     ],
 )
 def test_cli_bad_arguments_exit_2(argv, tmp_path, capsys):
@@ -232,3 +243,19 @@ def test_cli_bad_arguments_exit_2(argv, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert any(line.startswith("error:") or ": error:" in line for line in captured.err.splitlines())
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [line.split("#")[0].strip() for line in block.splitlines()
+            if line.startswith("homproj ")]
+
+
+def test_readme_cli_block_matches_the_command_table():
+    lines = _readme_cli_lines()
+    parser = build_parser()
+    for line in lines:
+        argv = [re.sub(r"^\S+\.json$", "FILE.json", arg) for arg in shlex.split(line)[1:]]
+        parser.parse_args(argv)
+    assert {line.split()[1] for line in lines} == {name for name, *_ in COMMANDS}

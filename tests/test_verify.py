@@ -78,6 +78,16 @@ def test_no_parallel_diameters(square, triangle):
     assert rep.instances_run == 0
 
 
+def test_no_parallel_diameters_on_near_parallel_pairs():
+    # ten points on the unit circle: two of the 45 diameters are about 3e-5
+    # rad apart, which 1 - |cos| < 1e-9 used to call parallel
+    pts = np.random.default_rng(np.random.SeedSequence([3, 2, 54])).standard_normal((10, 2))
+    P = extreme_points(pts / np.linalg.norm(pts, axis=1)[:, None])
+    rep = verify_no_parallel_diameters(P)
+    assert (rep.instances_run, rep.passes, rep.verdict) == (45, 45, "pass")
+    assert rep.witnesses == []
+
+
 def test_diameter_transfer(cube, square, triangle):
     P2 = apply_homothety(cube, np.array([0.3, -0.7, 1.1]), 1.8)
     assert verify_diameter_transfer(P2, cube).verdict == "pass"
