@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
 from .lp import margin_direction, margin_directions
-from .polytope import minkowski_sum, negate, others_index, scale_of, support
+from .polytope import others_index, scale_of, support
 
 MARGIN_TOL = 1e-9
 PERTURB_RETRIES = 64
@@ -54,12 +54,39 @@ def is_exposed(P, v):
     return delta > MARGIN_TOL * scale_of(P), u, delta
 
 
-def _unique_face(P, direction):
-    """Vertex index if support(P, direction) is a strict singleton, else None."""
-    res = support(P, direction)
-    if len(res.face) == 1 and res.margin > MARGIN_TOL * scale_of(P):
-        return res.face[0]
-    return None
+def _is_strict(res, tol):
+    """Whether a support result is a single vertex with a gap above tol."""
+    return len(res.face) == 1 and res.margin > tol
+
+
+def _perturbation_search(dim, f, eps, seed, accept):
+    """The first non-None accept(g), over f and then its perturbations g."""
+    f = np.asarray(f, dtype=float)
+    if abs(np.linalg.norm(f) - 1.0) > 1e-9:
+        raise ZeroDirection("f must be a unit vector")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    found = accept(f)
+    if found is not None:
+        return found
+    for attempt in range(PERTURB_RETRIES):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+        d = rng.standard_normal(dim)
+        d /= np.linalg.norm(d)
+        eta = eps
+        for _ in range(30):
+            g = f + eta * d
+            g /= np.linalg.norm(g)
+            if np.linalg.norm(f - g) > eps:
+                eta /= 2.0
+                continue
+            found = accept(g)
+            if found is not None:
+                return found
+            break
+    raise PerturbationFailed(
+        f"no unique exposing direction within eps={eps} after {PERTURB_RETRIES} retries"
+    )
 
 
 def exposed_point_near(P, f, eps, seed=0):
@@ -69,59 +96,35 @@ def exposed_point_near(P, f, eps, seed=0):
     otherwise f is perturbed by seeded random directions (magnitude halved
     until the eps bound holds) until the support face becomes a singleton.
     """
-    f = np.asarray(f, dtype=float)
-    if abs(np.linalg.norm(f) - 1.0) > 1e-9:
-        raise ZeroDirection("f must be a unit vector")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    i = _unique_face(P, f)
-    if i is not None:
-        return P.vertices[i], f
-    for attempt in range(PERTURB_RETRIES):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        d = rng.standard_normal(P.dim)
-        d /= np.linalg.norm(d)
-        eta = eps
-        for _ in range(30):
-            g = f + eta * d
-            g /= np.linalg.norm(g)
-            if np.linalg.norm(f - g) > eps:
-                eta /= 2.0
-                continue
-            i = _unique_face(P, g)
-            if i is not None:
-                return P.vertices[i], g
-            break
-    raise PerturbationFailed(
-        f"no unique exposing direction within eps={eps} after {PERTURB_RETRIES} retries"
-    )
+    tol = MARGIN_TOL * scale_of(P)
+
+    def accept(g):
+        res = support(P, g)
+        return (P.vertices[res.face[0]], g) if _is_strict(res, tol) else None
+
+    return _perturbation_search(P.dim, f, eps, seed, accept)
 
 
 def exposed_diameter_near(P, f, eps, seed=0):
     """Exposed diameter of P whose witness direction is within eps of f.
 
-    Works through the difference body K* = P + (-P): an exposed vertex of K*
-    in direction g decomposes as x - z with x the unique maximizer and z the
-    unique minimizer of g over P.
+    Finds an exposed vertex of the difference body K* = P + (-P) without
+    building it: the face of K* in direction g is F(P, g) - F(P, -g), so K*
+    has the single vertex x - z there exactly when x is the unique maximizer
+    and z the unique minimizer of g over P.
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
-    kstar = minkowski_sum(P, negate(P))
-    vstar, g = exposed_point_near(kstar, f, eps, seed=seed)
-    hi = _unique_face(P, g)
-    lo = _unique_face(P, -g)
-    if hi is None or lo is None:
-        raise PerturbationFailed("difference-body direction does not split P strictly")
-    x, z = P.vertices[hi], P.vertices[lo]
-    if np.linalg.norm((x - z) - vstar) > MARGIN_TOL * scale_of(kstar):
-        raise PerturbationFailed("difference-body vertex does not match x - z")
-    return ExposedDiameter(
-        x=x,
-        z=z,
-        witness=g,
-        margin_max=support(P, g).margin,
-        margin_min=support(P, -g).margin,
-    )
+    tol = MARGIN_TOL * scale_of(P)
+
+    def accept(g):
+        hi, lo = support(P, g), support(P, -g)
+        if not (_is_strict(hi, tol) and _is_strict(lo, tol)):
+            return None
+        x, z = P.vertices[hi.face[0]], P.vertices[lo.face[0]]
+        return ExposedDiameter(x=x, z=z, witness=g, margin_max=hi.margin, margin_min=lo.margin)
+
+    return _perturbation_search(P.dim, f, eps, seed, accept)
 
 
 def exposed_diameters(P):

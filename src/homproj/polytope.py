@@ -1,12 +1,11 @@
 """Canonical V-representation of compact convex sets.
 
 A Polytope stores exactly the extreme points of its convex hull, sorted
-lexicographically (with a tolerance band so near-ties order stably). All
+lexicographically (on a 1e-9 * scale grid so near-ties order stably). All
 predicates use tolerances relative to scale = max(1, diameter), so they are
 robust under translation and scaling.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -48,11 +47,14 @@ class SupportResult:
     margin: float
 
 
-def _pairwise_max_dist(V):
-    if V.shape[0] < 2:
-        return 0.0
+def _distances(V):
+    """(k, k) matrix of Euclidean distances between the rows of V."""
     diff = V[:, None, :] - V[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2).max()))
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _pairwise_max_dist(V):
+    return float(_distances(V).max(initial=0.0))
 
 
 def diameter(P):
@@ -71,19 +73,9 @@ def others_index(k):
 
 
 def _canonical_sort(V, scale):
-    """Lexicographic row order with a tolerance band on each comparison."""
-    band = 1e-9 * scale
-
-    def cmp(i, j):
-        for x, y in zip(V[i], V[j]):
-            if x - y > band:
-                return 1
-            if y - x > band:
-                return -1
-        return 0
-
-    order = sorted(range(V.shape[0]), key=functools.cmp_to_key(cmp))
-    return V[order]
+    """Lexicographic row order on the 1e-9 * scale grid; a total order."""
+    cells = np.round(V / (1e-9 * scale))
+    return V[np.lexsort(cells.T[::-1])]
 
 
 def extreme_points(points):
@@ -104,15 +96,16 @@ def extreme_points(points):
         raise DimensionMismatch("points do not share a common length")
     if not np.all(np.isfinite(P)):
         raise ValueError("non-finite coordinates")
-    scale = max(1.0, _pairwise_max_dist(P))
+    dist = _distances(P)
+    scale = max(1.0, float(dist.max()))
     tol = EXTREME_TOL * scale
 
-    # drop near-duplicates first so a duplicated extreme point survives
-    kept = []
-    for p in P:
-        if all(np.linalg.norm(p - q) > tol for q in kept):
-            kept.append(p)
-    V = np.array(kept)
+    # drop near-duplicates (the first one stays) so a duplicated extreme point survives
+    near = np.triu(dist <= tol, 1)
+    keep = np.ones(P.shape[0], dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)):
+        keep[near[i] & keep[i]] = False
+    V = P[keep]
 
     if V.shape[0] > 1:
         # all k "vertex minus the others" programs in one batch

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import homproj.lp
 from homproj import (
     NotAVertex,
+    PerturbationFailed,
     SingletonInput,
     antipodally_exposed_points,
     diameter,
@@ -16,6 +18,8 @@ from homproj import (
     random_polytope,
     support,
 )
+from homproj.exposed import MARGIN_TOL, PERTURB_RETRIES, ExposedDiameter
+from homproj.polytope import scale_of
 
 
 def grid_diameter_pairs(P, angles=10000):
@@ -111,6 +115,118 @@ def test_exposed_diameter_near_segment():
 def test_exposed_diameter_near_singleton():
     with pytest.raises(SingletonInput):
         exposed_diameter_near(extreme_points([[1.0, 1.0]]), np.array([1.0, 0.0]), 1e-3)
+
+
+def _kstar_exposed_diameter_near(P, kstar, f, eps, seed=0):
+    """Frozen copy of the K*-based ``exposed_diameter_near``: the reference.
+
+    It perturbs f until the difference body kstar = P + (-P) has a strict
+    single vertex there, and reads x and z off the faces of P. kstar is
+    passed in so that a test hulls it once per P, not once per call.
+    """
+
+    def unique_face(Q, direction):
+        res = support(Q, direction)
+        if len(res.face) == 1 and res.margin > MARGIN_TOL * scale_of(Q):
+            return res.face[0]
+        return None
+
+    def point_near(Q):
+        f_ = np.asarray(f, dtype=float)
+        i = unique_face(Q, f_)
+        if i is not None:
+            return Q.vertices[i], f_
+        for attempt in range(PERTURB_RETRIES):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+            d = rng.standard_normal(Q.dim)
+            d /= np.linalg.norm(d)
+            eta = eps
+            for _ in range(30):
+                g = f_ + eta * d
+                g /= np.linalg.norm(g)
+                if np.linalg.norm(f_ - g) > eps:
+                    eta /= 2.0
+                    continue
+                i = unique_face(Q, g)
+                if i is not None:
+                    return Q.vertices[i], g
+                break
+        raise PerturbationFailed("no unique exposing direction")
+
+    vstar, g = point_near(kstar)
+    hi = unique_face(P, g)
+    lo = unique_face(P, -g)
+    if hi is None or lo is None:
+        raise PerturbationFailed("difference-body direction does not split P strictly")
+    x, z = P.vertices[hi], P.vertices[lo]
+    if np.linalg.norm((x - z) - vstar) > MARGIN_TOL * scale_of(kstar):
+        raise PerturbationFailed("difference-body vertex does not match x - z")
+    return ExposedDiameter(
+        x=x,
+        z=z,
+        witness=g,
+        margin_max=support(P, g).margin,
+        margin_min=support(P, -g).margin,
+    )
+
+
+def _outcome(near, f, seed):
+    """Bytes of x, z, witness and both margins of near(f, 1e-3, seed), or the
+    exception type."""
+    try:
+        d = near(f, 1e-3, seed)
+    except PerturbationFailed as exc:
+        return type(exc)
+    return tuple(
+        np.asarray(v, dtype=float).tobytes()
+        for v in (d.x, d.z, d.witness, d.margin_max, d.margin_min)
+    )
+
+
+def _near_directions(dim, rng, count):
+    """Every +-axis direction, where faces tie and f must be perturbed, and
+    count seeded random unit directions."""
+    axes = np.vstack([np.eye(dim), -np.eye(dim)])
+    rand = rng.standard_normal((count, dim))
+    return np.vstack([axes, rand / np.linalg.norm(rand, axis=1)[:, None]])
+
+
+def test_exposed_diameter_near_matches_kstar_reference(square, triangle, cube, octahedron):
+    rng = np.random.default_rng(2024)
+    cases = [(P, 12) for P in (square, triangle, cube, octahedron)]
+    # criteria 1 and 2 corpus polytopes in R^2 and R^3
+    cases += [(random_polytope(2, 12, 2000 + i), 4) for i in range(5)]
+    cases += [(random_polytope(3, 12, 3000 + i), 4) for i in range(4)]
+    calls = 0
+    for P, count in cases:
+        kstar = minkowski_sum(P, negate(P))
+
+        def new(f, eps, seed):
+            return exposed_diameter_near(P, f, eps, seed=seed)
+
+        def ref(f, eps, seed):
+            return _kstar_exposed_diameter_near(P, kstar, f, eps, seed=seed)
+
+        for f in _near_directions(P.dim, rng, count):
+            for seed in (0, 3):
+                assert _outcome(new, f, seed) == _outcome(ref, f, seed), (P.vertices, f, seed)
+                calls += 1
+    assert calls == 296
+
+
+class _NoLP:
+    def __getattr__(self, name):
+        raise AssertionError(f"LP kernel used: {name}")
+
+
+def test_exposed_diameter_near_solves_no_lp(monkeypatch, square, triangle, cube, octahedron):
+    monkeypatch.setattr(homproj.lp, "_kernel", _NoLP())
+    for P in (square, triangle, cube, octahedron):
+        for f in np.vstack([np.eye(P.dim), -np.eye(P.dim)]):
+            d = exposed_diameter_near(P, f, 1e-3)
+            assert np.linalg.norm(f - d.witness) <= 1e-3
+    with pytest.raises(AssertionError, match="LP kernel used"):
+        extreme_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_exposed_diameters_square_matches_grid_oracle(square):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from homproj import (
     DimensionMismatch,
     EmptyInput,
     Frame,
+    Polytope,
     ZeroDirection,
     diameter,
     extreme_points,
@@ -87,6 +89,30 @@ def test_negate(square):
         ]
     )
     assert set_equal(octagon, negate(octagon), 1e-9)
+
+
+def test_canonical_order_ignores_input_order():
+    # x coordinates 6e-10 apart, within the 1e-9 tie band pairwise but not
+    # end to end: a banded comparator is not transitive on these rows
+    V = np.array([[0.0, 1.0], [6e-10, 0.5], [1.2e-9, 0.0]])
+    orders = {
+        negate(Polytope(V[list(p)])).vertices.tobytes()
+        for p in itertools.permutations(range(3))
+    }
+    assert len(orders) == 1
+    # x values 1e-12 apart tie, so y decides
+    assert negate(Polytope([[1e-12, -1.0], [0.0, 0.0]])).vertices.tolist() == [[0, 0], [-1e-12, 1]]
+
+
+def test_near_duplicates_keep_the_first_kept_point():
+    # the first copy of a duplicated vertex is the one kept
+    P = extreme_points([[1 + 1e-12, 1], [0, 0], [1, 0], [0, 1], [1, 1]])
+    assert P.vertices.tolist() == [[0, 0], [0, 1], [1, 0], [1 + 1e-12, 1]]
+    # a chain 6e-10 apart: the middle point is dropped as a near copy of the
+    # kept first one, the last is not near any kept point and stays, and the
+    # first is then inside the segment
+    P = extreme_points([[0, 0], [1, 0], [1 + 6e-10, 0], [1 + 1.2e-9, 0]])
+    assert P.vertices.tolist() == [[0, 0], [1 + 1.2e-9, 0]]
 
 
 def test_minkowski_difference_body_of_square(square):
