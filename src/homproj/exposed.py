@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
 from .lp import margin_direction, margin_directions
-from .polytope import others_index, scale_of, support
+from .polytope import REL_TOL, others_index, support
 
-MARGIN_TOL = 1e-9
 PERTURB_RETRIES = 64
 
 
@@ -51,12 +50,12 @@ def is_exposed(P, v):
         return True, u, math.inf
     others = np.delete(P.vertices, i, axis=0)
     delta, u = margin_direction(P.vertices[i] - others)
-    return delta > MARGIN_TOL * scale_of(P), u, delta
+    return delta > REL_TOL * P.scale, u, delta
 
 
-def _is_strict(res, tol):
-    """Whether a support result is a single vertex with a gap above tol."""
-    return len(res.face) == 1 and res.margin > tol
+def _is_strict(res, P):
+    """Whether a support result on P is one vertex with a gap above REL_TOL * scale."""
+    return len(res.face) == 1 and res.margin > REL_TOL * P.scale
 
 
 def _perturbation_search(dim, f, eps, seed, accept):
@@ -96,11 +95,10 @@ def exposed_point_near(P, f, eps, seed=0):
     otherwise f is perturbed by seeded random directions (magnitude halved
     until the eps bound holds) until the support face becomes a singleton.
     """
-    tol = MARGIN_TOL * scale_of(P)
 
     def accept(g):
         res = support(P, g)
-        return (P.vertices[res.face[0]], g) if _is_strict(res, tol) else None
+        return (P.vertices[res.face[0]], g) if _is_strict(res, P) else None
 
     return _perturbation_search(P.dim, f, eps, seed, accept)
 
@@ -115,11 +113,10 @@ def exposed_diameter_near(P, f, eps, seed=0):
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
-    tol = MARGIN_TOL * scale_of(P)
 
     def accept(g):
         hi, lo = support(P, g), support(P, -g)
-        if not (_is_strict(hi, tol) and _is_strict(lo, tol)):
+        if not (_is_strict(hi, P) and _is_strict(lo, P)):
             return None
         x, z = P.vertices[hi.face[0]], P.vertices[lo.face[0]]
         return ExposedDiameter(x=x, z=z, witness=g, margin_max=hi.margin, margin_min=lo.margin)
@@ -132,13 +129,13 @@ def exposed_diameters(P):
 
     For each pair (v, w) the LP maximizes the joint margin delta subject to
     u.(v - x) >= delta for x != v and u.(y - w) >= delta for y != w over the
-    |u|_inf <= 1 box; the pair qualifies iff delta > 1e-9 * scale.
+    |u|_inf <= 1 box; the pair qualifies iff delta > REL_TOL * scale.
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
     V = P.vertices
     k = V.shape[0]
-    tol = MARGIN_TOL * scale_of(P)
+    tol = REL_TOL * P.scale
     # all k(k-1)/2 pair programs in one batch, pairs in (i, j) row-major order
     others = V[others_index(k)]
     max_rows = V[:, None, :] - others

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTolerance, DimensionMismatch, ZeroLambda
-from .polytope import Polytope, _canonical_sort, diameter, scale_of
+from .polytope import Polytope, _canonical_sort, _distances, _scale
 
 DEFAULT_TOL = 1e-9
 
@@ -28,7 +28,7 @@ def apply_homothety(P, z, ratio):
     if z.shape != (P.dim,):
         raise DimensionMismatch(f"shift length {z.shape} vs dim {P.dim}")
     V = z + ratio * P.vertices
-    return Polytope(_canonical_sort(V, max(1.0, abs(ratio) * diameter(P))))
+    return Polytope(_canonical_sort(V, _scale(abs(ratio) * P.diameter)))
 
 
 def homothety_record(result):
@@ -49,7 +49,7 @@ def _match_bijection(V1, V2, dist_tol):
     matching tolerance, so nearest-neighbor assignment is unambiguous
     whenever a bijection within tolerance exists.
     """
-    dists = np.linalg.norm(V1[:, None, :] - V2[None, :, :], axis=2)
+    dists = _distances(V1, V2)
     nearest = dists.argmin(axis=1)
     best = dists[np.arange(len(V1)), nearest]
     if best.max() > dist_tol or len(set(nearest.tolist())) != len(V1):
@@ -63,8 +63,7 @@ def set_equal(P1, P2, tol=DEFAULT_TOL):
         raise DimensionMismatch(f"dims {P1.dim} vs {P2.dim}")
     if P1.num_vertices != P2.num_vertices:
         return False
-    scale = max(1.0, diameter(P1), diameter(P2))
-    return _match_bijection(P1.vertices, P2.vertices, tol * scale) is not None
+    return _match_bijection(P1.vertices, P2.vertices, tol * max(P1.scale, P2.scale)) is not None
 
 
 def detect_homothety(P1, P2, tol=DEFAULT_TOL):
@@ -80,16 +79,15 @@ def detect_homothety(P1, P2, tol=DEFAULT_TOL):
         raise BadTolerance(f"tolerance must be finite and positive, got {tol}")
     if P1.num_vertices != P2.num_vertices:
         return None
-    scale = scale_of(P1)
     if P1.num_vertices == 1:
         z = P1.vertices[0] - P2.vertices[0]
         return HomothetyResult(shift=z, ratio=1.0, residual=0.0)
-    ratio_abs = diameter(P1) / diameter(P2)
+    ratio_abs = P1.diameter / P2.diameter
     c1 = P1.vertices.mean(axis=0)
     c2 = P2.vertices.mean(axis=0)
     for ratio in (ratio_abs, -ratio_abs):
         z = c1 - ratio * c2
-        residual = _match_bijection(P1.vertices, z + ratio * P2.vertices, tol * scale)
+        residual = _match_bijection(P1.vertices, z + ratio * P2.vertices, tol * P1.scale)
         if residual is not None:
             return HomothetyResult(shift=z, ratio=float(ratio), residual=residual)
     return None

@@ -1,21 +1,21 @@
 """Canonical V-representation of compact convex sets.
 
 A Polytope stores exactly the extreme points of its convex hull, sorted
-lexicographically (on a 1e-9 * scale grid so near-ties order stably). All
-predicates use tolerances relative to scale = max(1, diameter), so they are
-robust under translation and scaling.
+lexicographically (on a REL_TOL * scale grid so near-ties order stably). All
+predicates compare gaps with REL_TOL * scale, where ``_scale`` alone sets
+scale = max(1, diameter) and ``_distances`` alone measures point distances.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadDims, DimensionMismatch, EmptyInput, ZeroDirection
 from .lp import margin_directions
 
-EXTREME_TOL = 1e-9
-FACE_TOL = 1e-9
+REL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +37,16 @@ class Polytope:
     def num_vertices(self):
         return self.vertices.shape[0]
 
+    @cached_property
+    def diameter(self):
+        """Largest pairwise vertex distance; 0 for a singleton."""
+        return float(_distances(self.vertices).max(initial=0.0))
+
+    @cached_property
+    def scale(self):
+        """The length that every tolerance on this polytope is relative to."""
+        return _scale(self.diameter)
+
 
 @dataclass(frozen=True)
 class SupportResult:
@@ -47,23 +57,21 @@ class SupportResult:
     margin: float
 
 
-def _distances(V):
-    """(k, k) matrix of Euclidean distances between the rows of V."""
-    diff = V[:, None, :] - V[None, :, :]
+def _scale(diameter):
+    """Scale of a set with this diameter: the one size policy of the package."""
+    return max(1.0, diameter)
+
+
+def _distances(V, W=None):
+    """(len V, len W) matrix of distances between the rows of V and W (or V)."""
+    W = V if W is None else W
+    diff = V[:, None, :] - W[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _pairwise_max_dist(V):
-    return float(_distances(V).max(initial=0.0))
 
 
 def diameter(P):
     """Largest pairwise vertex distance; 0 for a singleton."""
-    return _pairwise_max_dist(P.vertices)
-
-
-def scale_of(P):
-    return max(1.0, diameter(P))
+    return P.diameter
 
 
 def others_index(k):
@@ -73,8 +81,8 @@ def others_index(k):
 
 
 def _canonical_sort(V, scale):
-    """Lexicographic row order on the 1e-9 * scale grid; a total order."""
-    cells = np.round(V / (1e-9 * scale))
+    """Lexicographic row order on the REL_TOL * scale grid; a total order."""
+    cells = np.round(V / (REL_TOL * scale))
     return V[np.lexsort(cells.T[::-1])]
 
 
@@ -82,7 +90,7 @@ def extreme_points(points):
     """Canonical polytope from an arbitrary point set.
 
     A point survives iff it is not a convex combination of the others,
-    certified by the separation LP (margin > 1e-9 * scale).
+    certified by the separation LP (margin > REL_TOL * scale).
     """
     try:
         P = np.asarray(points, dtype=float)
@@ -97,8 +105,8 @@ def extreme_points(points):
     if not np.all(np.isfinite(P)):
         raise ValueError("non-finite coordinates")
     dist = _distances(P)
-    scale = max(1.0, float(dist.max()))
-    tol = EXTREME_TOL * scale
+    scale = _scale(float(dist.max()))
+    tol = REL_TOL * scale
 
     # drop near-duplicates (the first one stays) so a duplicated extreme point survives
     near = np.triu(dist <= tol, 1)
@@ -117,7 +125,7 @@ def extreme_points(points):
 def support(P, u):
     """Support function value of P at u, with the attaining face.
 
-    face holds the argmax vertex indices within 1e-9 * scale * |u|; margin is
+    face holds the argmax vertex indices within REL_TOL * scale * |u|; margin is
     the gap to the best vertex outside the face (inf when there is none).
     """
     u = np.asarray(u, dtype=float)
@@ -128,7 +136,7 @@ def support(P, u):
         raise ZeroDirection("zero support direction")
     vals = P.vertices @ u
     best = float(vals.max())
-    tol = FACE_TOL * scale_of(P) * norm_u
+    tol = REL_TOL * P.scale * norm_u
     on_face = vals >= best - tol
     face = tuple(int(i) for i in np.flatnonzero(on_face))
     off = vals[~on_face]
@@ -138,7 +146,7 @@ def support(P, u):
 
 def negate(P):
     """Reflection through the origin."""
-    return Polytope(_canonical_sort(-P.vertices, scale_of(P)))
+    return Polytope(_canonical_sort(-P.vertices, P.scale))
 
 
 def minkowski_sum(P, Q):

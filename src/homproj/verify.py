@@ -17,7 +17,7 @@ from .paraboloid import (
     paraboloid_homothetic,
     project_paraboloid,
 )
-from .polytope import project_polytope, scale_of
+from .polytope import _distances, project_polytope
 
 PARALLEL_TOL = 1e-9
 
@@ -178,10 +178,10 @@ def verify_no_parallel_diameters(P):
     if P.num_vertices < 2:
         raise SingletonInput("needs at least two vertices")
     diams = exposed_diameters(P)
-    U = np.array([d.x - d.z for d in diams]).reshape(len(diams), P.dim)
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    X, Z = np.array([[d.x for d in diams], [d.z for d in diams]]).reshape(2, len(diams), P.dim)
+    U = (X - Z) / np.diagonal(_distances(X, Z))[:, None]
     I, J = np.triu_indices(len(diams), 1)
-    gaps = np.minimum(np.linalg.norm(U[I] - U[J], axis=1), np.linalg.norm(U[I] + U[J], axis=1))
+    gaps = np.minimum(_distances(U)[I, J], _distances(U, -U)[I, J])
     witnesses = [
         {
             "diameter_1": [diams[i].x.tolist(), diams[i].z.tolist()],
@@ -219,25 +219,20 @@ def verify_diameter_transfer(P1, P2):
         )
     d1 = exposed_diameters(P1)
     d2 = exposed_diameters(P2)
-    tol = PARALLEL_TOL * scale_of(P2)
+    tol = PARALLEL_TOL * P2.scale
 
-    def mapped(v):
-        return (v - h.shift) / h.ratio
-
-    def same_pair(a, b, pair):
-        x, z = pair
-        direct = np.linalg.norm(a - x) <= tol and np.linalg.norm(b - z) <= tol
-        crossed = np.linalg.norm(a - z) <= tol and np.linalg.norm(b - x) <= tol
-        return direct or crossed
+    def same_pair(ends, e):
+        near = _distances(ends, np.array([e.x, e.z])) <= tol
+        return (near[0, 0] and near[1, 1]) or (near[0, 1] and near[1, 0])
 
     matched = 0
     witnesses = []
     used = set()
     for d in d1:
-        a, b = mapped(d.x), mapped(d.z)
+        ends = (np.array([d.x, d.z]) - h.shift) / h.ratio
         hit = None
         for j, e in enumerate(d2):
-            if j not in used and same_pair(a, b, (e.x, e.z)):
+            if j not in used and same_pair(ends, e):
                 hit = j
                 break
         if hit is None:

@@ -18,8 +18,8 @@ from homproj import (
     random_polytope,
     support,
 )
-from homproj.exposed import MARGIN_TOL, PERTURB_RETRIES, ExposedDiameter
-from homproj.polytope import scale_of
+from homproj.exposed import PERTURB_RETRIES, ExposedDiameter
+from homproj.polytope import REL_TOL
 
 
 def grid_diameter_pairs(P, angles=10000):
@@ -127,7 +127,7 @@ def _kstar_exposed_diameter_near(P, kstar, f, eps, seed=0):
 
     def unique_face(Q, direction):
         res = support(Q, direction)
-        if len(res.face) == 1 and res.margin > MARGIN_TOL * scale_of(Q):
+        if len(res.face) == 1 and res.margin > REL_TOL * Q.scale:
             return res.face[0]
         return None
 
@@ -159,7 +159,7 @@ def _kstar_exposed_diameter_near(P, kstar, f, eps, seed=0):
     if hi is None or lo is None:
         raise PerturbationFailed("difference-body direction does not split P strictly")
     x, z = P.vertices[hi], P.vertices[lo]
-    if np.linalg.norm((x - z) - vstar) > MARGIN_TOL * scale_of(kstar):
+    if np.linalg.norm((x - z) - vstar) > REL_TOL * kstar.scale:
         raise PerturbationFailed("difference-body vertex does not match x - z")
     return ExposedDiameter(
         x=x,

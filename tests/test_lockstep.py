@@ -13,7 +13,7 @@ import homproj as hp
 from homproj import _simplex_py
 from homproj._simplex_py import OPTIMAL, UNBOUNDED, simplex_maximize_batch
 from homproj.lp import margin_directions
-from homproj.polytope import _canonical_sort, _pairwise_max_dist
+from homproj.polytope import _canonical_sort, _distances
 from homproj.verify import _subseed
 
 
@@ -193,7 +193,7 @@ def test_batch_without_rows():
 def _scalar_extreme_points(points):
     """The seed's ``extreme_points``: one np.delete and one scalar LP per point."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    scale = max(1.0, _pairwise_max_dist(P))
+    scale = max(1.0, _distances(P).max())
     tol = 1e-9 * scale
     kept = []
     for p in P:
