@@ -3,7 +3,11 @@
 Every geometric predicate in the package reduces to one LP shape: find the
 direction u, |u|_inf <= 1, maximizing the smallest dot product u . d over a
 given list of difference vectors d. A strictly positive optimum certifies
-strict separation (extreme point, exposed vertex, exposed diameter).
+strict separation (extreme point, exposed vertex, exposed diameter). Each
+program is rescaled by a power of two until max|d| lies in [0.5, 1), and
+pivots with the fixed tolerance 1e-9. Power-of-two scaling is exact (the
+idea of Curtis & Reid, 1972), so a verdict does not depend on the scale of
+the d.
 
 Callers that need many such programs at once (all k LPs of one hull, all
 pair LPs of one diameter enumeration) pass them together to
@@ -53,12 +57,15 @@ def margin_directions(Ds):
     Ds is (B, m, n); returns (delta[B], u[B, n]). The B margin programs are
     assembled in one array and solved in one kernel call; each result
     equals, bit for bit, that of its own ``margin_direction`` call. Each
-    program keeps its own pivot tolerance 1e-9 * max(1, max|D|).
+    program is divided by the power of two 2^e that puts its max|D| in
+    [0.5, 1) and its delta multiplied back by 2^e.
     """
     Ds = np.asarray(Ds, dtype=float)
     if Ds.ndim != 3 or Ds.shape[1] == 0 or Ds.shape[2] == 0:
         raise ValueError("margin_direction needs at least one direction")
     B, m, n = Ds.shape
+    _, e = np.frexp(np.abs(Ds).max(axis=(1, 2)))
+    Ds = np.ldexp(Ds, -e[:, None, None])
     # variables: u+ (n), u- (n), delta; u = u+ - u-
     nv = 2 * n + 1
     A = np.zeros((B, m + 2 * n, nv))
@@ -70,8 +77,9 @@ def margin_directions(Ds):
     b = np.concatenate([np.zeros(m), np.ones(2 * n)])
     c = np.zeros(nv)
     c[2 * n] = 1.0
-    tol = 1e-9 * np.fmax(1.0, np.abs(Ds).max(axis=(1, 2), initial=0.0))
-    status, obj, x = _kernel.simplex_maximize_batch(A, np.broadcast_to(b, (B, b.size)), c, tol)
+    status, obj, x = _kernel.simplex_maximize_batch(
+        A, np.broadcast_to(b, (B, b.size)), c, np.full(B, 1e-9)
+    )
     if np.any(status != OPTIMAL):
         raise RuntimeError("separation LP unbounded; inputs are not finite")
-    return obj, x[:, :n] - x[:, n : 2 * n]
+    return np.ldexp(obj, e), x[:, :n] - x[:, n : 2 * n]

@@ -3,7 +3,11 @@
 A Polytope stores exactly the extreme points of its convex hull, sorted
 lexicographically (on a REL_TOL * scale grid so near-ties order stably). All
 predicates compare gaps with REL_TOL * scale, where ``_scale`` alone sets
-scale = max(1, diameter) and ``_distances`` alone measures point distances.
+scale = diameter (1 for a singleton) and ``_distances`` alone measures point
+distances. So the predicates are scale-invariant. They are
+translation-invariant only while diameter / max|coordinate| stays well above
+machine epsilon; past that, a translation rounds away the very differences
+the predicates compare, which no tolerance can restore.
 """
 
 import math
@@ -59,14 +63,22 @@ class SupportResult:
 
 def _scale(diameter):
     """Scale of a set with this diameter: the one size policy of the package."""
-    return max(1.0, diameter)
+    return diameter if diameter > 0.0 else 1.0
 
 
 def _distances(V, W=None):
-    """(len V, len W) matrix of distances between the rows of V and W (or V)."""
+    """(len V, len W) matrix of distances between the rows of V and W (or V).
+
+    The differences are divided by the power of two 2^e that puts their
+    max|.| in [0.5, 1) before they are squared, so the largest square
+    neither under- nor overflows; 2^e is exact and commutes with squaring,
+    summing and sqrt, so normal-range bits do not depend on it.
+    """
     W = V if W is None else W
     diff = V[:, None, :] - W[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    _, e = np.frexp(np.abs(diff).max(initial=0.0))
+    diff = np.ldexp(diff, -e)
+    return np.ldexp(np.sqrt((diff * diff).sum(axis=2)), e)
 
 
 def diameter(P):
