@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import homproj.lp
+import homproj.polytope
 from homproj import (
     NotAVertex,
     PerturbationFailed,
@@ -302,3 +303,17 @@ def test_no_two_diameters_parallel():
         for i in range(len(dirs)):
             for j in range(i + 1, len(dirs)):
                 assert abs(float(dirs[i] @ dirs[j])) < 1.0 - 1e-9
+
+
+def test_exposed_diameters_measures_the_polytope_once(monkeypatch):
+    P = random_polytope(3, 10, 4)
+    calls = []
+    distances = homproj.polytope._distances
+
+    def counted(*args):
+        calls.append(args)
+        return distances(*args)
+
+    monkeypatch.setattr(homproj.polytope, "_distances", counted)
+    assert len(exposed_diameters(P)) > 1
+    assert len(calls) <= 1

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from homproj import (
     BadDims,
@@ -43,6 +44,14 @@ def test_extreme_points_idempotent():
         P = random_polytope(3, 15, seed)
         again = extreme_points(P.vertices)
         assert np.array_equal(P.vertices, again.vertices)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_extreme_points_match_scipy_convex_hull(dim, seed):
+    X = np.random.default_rng(seed).standard_normal((30, dim))
+    expected = {tuple(p) for p in X[ConvexHull(X).vertices].tolist()}
+    assert {tuple(v) for v in extreme_points(X).vertices.tolist()} == expected
 
 
 def test_extreme_points_errors():
