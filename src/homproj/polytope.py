@@ -76,7 +76,7 @@ def _distances(V, W=None):
     """
     W = V if W is None else W
     diff = V[:, None, :] - W[None, :, :]
-    _, e = np.frexp(np.abs(diff).max(initial=0.0))
+    e = math.frexp(np.abs(diff).max(initial=0.0))[1]
     diff = np.ldexp(diff, -e)
     return np.ldexp(np.sqrt((diff * diff).sum(axis=2)), e)
 
