@@ -16,35 +16,12 @@ from homproj import (
 )
 
 
-@pytest.mark.parametrize("s", [1e-200, 1e-20, 1e-8, 1.0, 5e8, 1e9, 1e150, 1e200, 1e300])
-def test_triangle_keeps_three_vertices_at_every_scale(s):
-    P = extreme_points([[s, 0.0], [-s, 0.0], [0.0, s]])
-    assert P.vertices.tolist() == [[-s, 0.0], [0.0, s], [s, 0.0]]
-
-
-@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e200, 1e300])
-@pytest.mark.parametrize("base", ["triangle", "random3d"])
-def test_homothetic_pair_at_extreme_scales(base, s):
-    if base == "triangle":
-        X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    else:
-        X = np.random.default_rng(2).standard_normal((8, 3))
-    P = extreme_points(s * X)
-    Q = extreme_points(2.0 * P.vertices + 5.0 * s)
-    assert P.num_vertices == Q.num_vertices == extreme_points(X).num_vertices
-    h = detect_homothety(Q, P)
-    assert h is not None and h.ratio == pytest.approx(2.0, rel=1e-12)
-    assert set_equal(P, P)
-    assert verify_theorem2(P).verdict == "pass"
-    assert verify_no_parallel_diameters(P).verdict == "pass"
-    assert verify_diameter_transfer(Q, P).verdict == "pass"
-
-
 # A triangle of diameter 0.01 and a fourth point 4e-9 * diameter outside the
 # middle of its base: extreme under the relative tolerance 1e-9 * diameter at
 # every scale, and dropped by any absolute floor on the tolerance.
 NEAR_EDGE = np.array([[0.0, 0.0], [0.01, 0.0], [0.005, 0.008], [0.005, -4e-11]])
 BASES = {
+    "triangle": np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
     "near_edge": NEAR_EDGE,
     "gauss2": np.random.default_rng(0).standard_normal((12, 2)),
     "gauss3": np.random.default_rng(1).standard_normal((12, 3)),
@@ -54,6 +31,27 @@ SCALES = st.one_of(
     st.integers(-498, 498).map(lambda k: 2.0**k),
     st.integers(-150, 150).map(lambda k: 10.0**k),
 )
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-20, 1e-8, 1.0, 5e8, 1e9, 1e150, 1e200, 1e300])
+def test_triangle_keeps_three_vertices_at_every_scale(s):
+    P = extreme_points(s * BASES["triangle"])
+    assert P.vertices.tolist() == [[-s, 0.0], [0.0, s], [s, 0.0]]
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e200, 1e300])
+@pytest.mark.parametrize("name", ["triangle", "gauss3"])
+def test_homothetic_pair_at_extreme_scales(name, s):
+    X = BASES[name]
+    P = extreme_points(s * X)
+    Q = extreme_points(2.0 * P.vertices + 5.0 * s)
+    assert P.num_vertices == Q.num_vertices == extreme_points(X).num_vertices
+    h = detect_homothety(Q, P)
+    assert h is not None and h.ratio == pytest.approx(2.0, rel=1e-12)
+    assert set_equal(P, P)
+    assert verify_theorem2(P).verdict == "pass"
+    assert verify_no_parallel_diameters(P).verdict == "pass"
+    assert verify_diameter_transfer(Q, P).verdict == "pass"
 
 
 def test_near_edge_point_is_a_vertex():
