@@ -43,6 +43,7 @@ from .polytope import (
     SupportResult,
     diameter,
     extreme_points,
+    extreme_points_many,
     minkowski_sum,
     negate,
     project_polytope,

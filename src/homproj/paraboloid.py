@@ -107,7 +107,8 @@ def paraboloid_homothetic(s1, s2):
 
     K_{A1} and K_{A2} are homothetic iff A1 and A2 are proportional; the
     reported ratio is the entrywise proportion A1/A2 (so identity matrices
-    against 2*identity give 0.5). A negative ratio is impossible because the
+    against 2*identity give 0.5), and A1 - ratio * A2 must vanish to within
+    PROPORTION_TOL * max|A1|. A negative ratio is impossible because the
     reflected paraboloid opens downward.
     """
     A1, A2 = s1.coeff, s2.coeff
@@ -115,7 +116,7 @@ def paraboloid_homothetic(s1, s2):
     ratio = A1[i, j] / A2[i, j]
     if ratio <= 0.0:
         return None
-    if np.max(np.abs(A1 - ratio * A2)) > PROPORTION_TOL:
+    if np.max(np.abs(A1 - ratio * A2)) > PROPORTION_TOL * abs(A1[i, j]):
         return None
     return float(ratio)
 

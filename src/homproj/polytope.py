@@ -67,18 +67,21 @@ def _scale(diameter):
 
 
 def _distances(V, W=None):
-    """(len V, len W) matrix of distances between the rows of V and W (or V).
+    """(..., len V, len W) distances between the rows of V and W (or V).
 
-    The differences are divided by the power of two 2^e that puts their
-    max|.| in [0.5, 1) before they are squared, so the largest square
+    V and W may carry leading stack axes; each stack entry is measured on
+    its own. Its differences are divided by the power of two 2^e that puts
+    their max|.| in [0.5, 1) before they are squared, so the largest square
     neither under- nor overflows; 2^e is exact and commutes with squaring,
-    summing and sqrt, so normal-range bits do not depend on it.
+    summing and sqrt, so normal-range bits do not depend on it or on the
+    other entries of the stack.
     """
     W = V if W is None else W
-    diff = V[:, None, :] - W[None, :, :]
-    e = math.frexp(np.abs(diff).max(initial=0.0))[1]
+    diff = V[..., :, None, :] - W[..., None, :, :]
+    big = np.abs(diff).max(axis=(-3, -2, -1), initial=0.0, keepdims=True)
+    e = np.frexp(big)[1]
     diff = np.ldexp(diff, -e)
-    return np.ldexp(np.sqrt((diff * diff).sum(axis=2)), e)
+    return np.ldexp(np.sqrt((diff * diff).sum(axis=-1)), e[..., 0])
 
 
 def diameter(P):
@@ -98,40 +101,83 @@ def _canonical_sort(V, scale):
     return V[np.lexsort(cells.T[::-1])]
 
 
-def extreme_points(points):
-    """Canonical polytope from an arbitrary point set.
-
-    A point survives iff it is not a convex combination of the others,
-    certified by the separation LP (margin > REL_TOL * scale).
-    """
+def _point_array(points):
+    """points as a float array; DimensionMismatch if ragged, EmptyInput if empty."""
     try:
         P = np.asarray(points, dtype=float)
     except ValueError as exc:
         raise DimensionMismatch("points do not share a common length") from exc
     if P.size == 0:
         raise EmptyInput("no input points")
+    return P
+
+
+def _groups(keys):
+    """(key, indices) for each distinct key, in order of first appearance."""
+    out = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out.items()
+
+
+def extreme_points(points):
+    """Canonical polytope from an arbitrary point set.
+
+    A point survives iff it is not a convex combination of the others,
+    certified by the separation LP (margin > REL_TOL * scale). This is the
+    one-set case of ``extreme_points_many``.
+    """
+    P = _point_array(points)
     if P.ndim == 1:
         P = P[None, :]
-    if P.ndim != 2:
-        raise DimensionMismatch("points do not share a common length")
-    if not np.all(np.isfinite(P)):
-        raise ValueError("non-finite coordinates")
-    dist = _distances(P)
-    scale = _scale(float(dist.max()))
-    tol = REL_TOL * scale
+    (hull,) = extreme_points_many([P])
+    return hull
+
+
+def extreme_points_many(stack):
+    """``extreme_points`` of each point set of a stack, as a list of Polytopes.
+
+    ``stack`` is an (S, k, n) array or any sequence of S (k_s, n_s) point
+    sets. Each set is measured, deduplicated and tolerated on its own scale,
+    exactly as if hulled alone. Sets of one shape share one distance stack,
+    and sets that keep the same number of distinct points share one
+    ``margin_directions`` call; its per-LP parity makes every result
+    independent of the batch it was solved in.
+    """
+    sets = [_point_array(points) for points in stack]
+    if not sets:
+        raise EmptyInput("no point sets")
+    for P in sets:
+        if P.ndim != 2:
+            raise DimensionMismatch("points do not share a common length")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("non-finite coordinates")
 
     # drop near-duplicates (the first one stays) so a duplicated extreme point survives
-    near = np.triu(dist <= tol, 1)
-    keep = np.ones(P.shape[0], dtype=bool)
-    for i in np.flatnonzero(near.any(axis=1)):
-        keep[near[i] & keep[i]] = False
-    V = P[keep]
+    scales = [0.0] * len(sets)
+    for _, index in _groups(P.shape for P in sets):
+        dist = _distances(np.stack([sets[s] for s in index]))
+        for s, d in zip(index, dist.max(axis=(1, 2)).tolist()):
+            scales[s] = _scale(d)
+        tol = REL_TOL * np.array([scales[s] for s in index])
+        near = np.triu(dist <= tol[:, None, None], 1)
+        for j in np.flatnonzero(near.any(axis=(1, 2))):
+            keep = np.ones(near.shape[1], dtype=bool)
+            for i in np.flatnonzero(near[j].any(axis=1)):
+                keep[near[j, i] & keep[i]] = False
+            sets[index[j]] = sets[index[j]][keep]
 
-    if V.shape[0] > 1:
-        # all k "vertex minus the others" programs in one batch
-        deltas, _ = margin_directions(V[:, None, :] - V[others_index(V.shape[0])])
-        V = V[deltas > tol]
-    return Polytope(_canonical_sort(V, scale))
+    # all "vertex minus the others" programs of same-count sets in one batch
+    for (k, _), index in _groups(V.shape for V in sets):
+        if k == 1:
+            continue
+        V = np.stack([sets[s] for s in index])
+        deltas, _ = margin_directions(
+            (V[:, :, None, :] - V[:, others_index(k)]).reshape(-1, k - 1, V.shape[2])
+        )
+        for s, delta in zip(index, deltas.reshape(len(index), k)):
+            sets[s] = sets[s][delta > REL_TOL * scales[s]]
+    return [Polytope(_canonical_sort(V, scale)) for V, scale in zip(sets, scales)]
 
 
 def support(P, u):
@@ -169,13 +215,18 @@ def minkowski_sum(P, Q):
     return extreme_points(sums)
 
 
-def project_polytope(P, frame):
-    """Orthogonal projection onto the frame's subspace, in frame coordinates."""
+def _shadow(P, frame):
+    """Vertices of P in the frame's coordinates: the points a projection hulls."""
     if frame.ambient_dim != P.dim:
         raise DimensionMismatch(
             f"frame ambient dim {frame.ambient_dim} vs polytope dim {P.dim}"
         )
-    return extreme_points(P.vertices @ frame.basis.T)
+    return P.vertices @ frame.basis.T
+
+
+def project_polytope(P, frame):
+    """Orthogonal projection onto the frame's subspace, in frame coordinates."""
+    return extreme_points(_shadow(P, frame))
 
 
 def random_polytope(n, k, seed):

@@ -17,7 +17,7 @@ from .paraboloid import (
     paraboloid_homothetic,
     project_paraboloid,
 )
-from .polytope import _distances, project_polytope
+from .polytope import _distances, _shadow, extreme_points_many
 
 PARALLEL_TOL = 1e-9
 
@@ -56,22 +56,22 @@ def _projection_record(frame, Q1, Q2, result):
 def _projection_sweep(name, P1, P2, frames, seed):
     """Shared body of the theorem-1 style checks.
 
-    When P1 and P2 are homothetic the check is universal: every sampled
-    projection pair must be homothetic (and the detected map must reproduce
-    the projection at set level). When they are not, the check is
-    existential: a non-homothetic projection is the sought witness; finding
-    none is flagged as converse tension, since sampling cannot prove the
-    universal hypothesis of the converse direction.
+    All shadows of P1 and P2, two per frame, are hulled in one
+    ``extreme_points_many`` call; each hull equals that of its own
+    ``project_polytope`` call. When P1 and P2 are homothetic the check is
+    universal: every sampled projection pair must be homothetic (and the
+    detected map must reproduce the projection at set level). When they are
+    not, the check is existential: a non-homothetic projection is the sought
+    witness; finding none is flagged as converse tension, since sampling
+    cannot prove the universal hypothesis of the converse direction.
     """
     direct = detect_homothety(P1, P2)
+    hulls = extreme_points_many([_shadow(P, frame) for frame in frames for P in (P1, P2)])
     witnesses = []
     homothetic_count = 0
-    n_frames = 0
+    n_frames = len(frames)
     first_bad = None
-    for frame in frames:
-        n_frames += 1
-        Q1 = project_polytope(P1, frame)
-        Q2 = project_polytope(P2, frame)
+    for frame, Q1, Q2 in zip(frames, hulls[::2], hulls[1::2]):
         result = detect_homothety(Q1, Q2)
         sound = result is not None and set_equal(
             Q1, apply_homothety(Q2, result.shift, result.ratio)
@@ -120,7 +120,7 @@ def verify_theorem1(P1, P2, m, samples, seed):
         raise BadDims(f"need 2 <= m <= n - 1, got m={m}, n={n}")
     if samples < 1:
         raise BadDims("samples must be >= 1")
-    frames = (random_frame(n, m, _subseed(seed, i)) for i in range(samples))
+    frames = [random_frame(n, m, _subseed(seed, i)) for i in range(samples)]
     return _projection_sweep("theorem1", P1, P2, frames, seed)
 
 
@@ -139,9 +139,9 @@ def verify_corollary1(P1, P2, sub, m, samples, seed):
     if samples < 1:
         raise BadDims("samples must be >= 1")
     if sub is None:
-        frames = (random_frame(n, m, _subseed(seed, i)) for i in range(samples))
+        frames = [random_frame(n, m, _subseed(seed, i)) for i in range(samples)]
     else:
-        frames = (frame_containing(sub, m, _subseed(seed, i)) for i in range(samples))
+        frames = [frame_containing(sub, m, _subseed(seed, i)) for i in range(samples)]
     return _projection_sweep("corollary1", P1, P2, frames, seed)
 
 

@@ -4,16 +4,21 @@ The parity contract is per LP: every program of a batch must give, byte for
 byte (signed zeros included), the status, objective and x that the scalar
 Bland's-rule loop gives for it alone, and the hull and diameter routines
 built on the batch must return the bytes of their one-LP-at-a-time form.
+A hull of a stack of point sets must not depend on the other sets, and a
+projection sweep that hulls all its shadows at once must write the reports of
+the per-frame sweep.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homproj as hp
-from homproj import _simplex_py
+from homproj import _simplex_py, files, verify
 from homproj._simplex_py import OPTIMAL, UNBOUNDED, simplex_maximize_batch
 from homproj.lp import margin_directions
-from homproj.polytope import _canonical_sort, _distances
+from homproj.polytope import REL_TOL, _canonical_sort, _distances
 from homproj.verify import _subseed
 
 
@@ -285,3 +290,169 @@ def test_exposed_diameters_match_scalar_on_acceptance_corpora():
             assert d.witness.tobytes() == u.tobytes()
             assert _bits(d.margin_max) == _bits(margin_max)
             assert _bits(d.margin_min) == _bits(margin_min)
+
+
+SET_KINDS = ("gauss", "grid", "near_duplicates", "collinear", "one_point")
+
+
+def _point_set(rng, kind, k, n):
+    """k points in R^n of one kind, at a random scale and offset."""
+    X = rng.standard_normal((k, n))
+    if kind == "grid":
+        X = np.round(X)  # duplicates, collinear and coplanar points
+    elif kind == "near_duplicates":
+        # half the points copy another one, moved by 0 to 3 times the tolerance
+        step = rng.standard_normal((k, n))
+        step *= REL_TOL * np.ptp(X) * rng.uniform(0.0, 3.0, (k, 1)) / np.linalg.norm(
+            step, axis=1, keepdims=True
+        )
+        copies = rng.random(k) < 0.5
+        X[copies] = X[rng.integers(k, size=k)][copies] + step[copies]
+    elif kind == "collinear":
+        X = X[:1] + rng.standard_normal((k, 1)) * rng.standard_normal(n)
+    elif kind == "one_point":
+        X = np.repeat(X[:1], k, axis=0)
+    return 10.0 ** rng.integers(-150, 151) * (X + 10.0 * rng.standard_normal(n))
+
+
+@st.composite
+def point_stacks(draw):
+    """An (S, k, n) stack of point sets of mixed kinds and scales, or (ragged)
+    a list of S sets with their own k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(SET_KINDS), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        return [_point_set(rng, kind, int(rng.integers(1, 10)), n) for kind in kinds]
+    k = draw(st.integers(1, 9))
+    return np.array([_point_set(rng, kind, k, n) for kind in kinds])
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=point_stacks())
+def test_many_hulls_match_one_hull_each(stack):
+    hulls = hp.extreme_points_many(stack)
+    assert len(hulls) == len(stack)
+    for points, hull in zip(stack, hulls):
+        alone = hp.extreme_points(points).vertices
+        assert hull.vertices.shape == alone.shape
+        assert hull.vertices.tobytes() == alone.tobytes()
+
+
+def _count_margin_calls(monkeypatch):
+    calls = []
+
+    def counted(Ds):
+        calls.append(len(Ds))
+        return margin_directions(Ds)
+
+    monkeypatch.setattr(hp.polytope, "margin_directions", counted)
+    return calls
+
+
+def test_many_hulls_make_one_lp_call_per_kept_count(monkeypatch):
+    rng = np.random.default_rng(3)
+    kinds = ("gauss", "one_point", "near_duplicates", "grid", "collinear") * 2
+    stack = np.array([_point_set(rng, kind, 8, 3) for kind in kinds])
+    batched = [c for c in map(len, map(_dedupe_reference, stack)) if c > 1]
+    calls = _count_margin_calls(monkeypatch)
+    hp.extreme_points_many(stack)
+    assert len(calls) == len(set(batched)) > 1
+    assert sum(calls) == sum(batched)
+
+
+def _dedupe_reference(points):
+    """The points that survive the near-duplicate pass of one hull."""
+    dist = _distances(points)
+    tol = REL_TOL * (dist.max() or 1.0)
+    kept = []
+    for i in range(len(points)):
+        if all(dist[i, j] > tol for j in kept):
+            kept.append(i)
+    return kept
+
+
+def _per_frame_sweep(name, P1, P2, frames, seed):
+    """Frozen copy of the projection sweep that hulls two shadows per frame."""
+    direct = hp.detect_homothety(P1, P2)
+    witnesses = []
+    homothetic_count = 0
+    n_frames = 0
+    first_bad = None
+    for frame in frames:
+        n_frames += 1
+        Q1 = hp.project_polytope(P1, frame)
+        Q2 = hp.project_polytope(P2, frame)
+        result = hp.detect_homothety(Q1, Q2)
+        sound = result is not None and hp.set_equal(
+            Q1, hp.apply_homothety(Q2, result.shift, result.ratio)
+        )
+        if sound:
+            homothetic_count += 1
+        elif first_bad is None:
+            first_bad = verify._projection_record(frame, Q1, Q2, result)
+
+    if direct is not None:
+        verdict = "pass" if homothetic_count == n_frames else "fail"
+        if first_bad is not None:
+            witnesses.append(first_bad)
+        return verify.Report(
+            check_name=name,
+            instances_run=n_frames,
+            passes=homothetic_count,
+            seed=seed,
+            verdict=verdict,
+            witnesses=witnesses + [{"direct_homothety": verify.homothety_record(direct)}],
+        )
+    if first_bad is not None:
+        witnesses.append(first_bad)
+        verdict = "pass"
+    else:
+        witnesses.append({"converse_tension": True})
+        verdict = "fail"
+    return verify.Report(
+        check_name=name,
+        instances_run=n_frames,
+        passes=n_frames - homothetic_count,
+        seed=seed,
+        verdict=verdict,
+        existential=True,
+        witnesses=witnesses,
+    )
+
+
+def _sweep_pairs():
+    cube = hp.extreme_points([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    tetrahedron = hp.extreme_points([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    octahedron = hp.extreme_points(np.vstack([np.eye(3), -np.eye(3)]))
+    P4 = hp.random_polytope(4, 10, 17)
+    return {
+        "moved_cube": (hp.apply_homothety(cube, [1.0, -2.0, 0.5], -1.5), cube),
+        "cube_tetrahedron": (cube, tetrahedron),
+        "tetrahedron_octahedron": (tetrahedron, octahedron),
+        "homothetic_4d": (hp.apply_homothety(P4, np.arange(4.0), 0.3), P4),
+        "random_4d": (P4, hp.random_polytope(4, 12, 18)),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 7, 4242])
+@pytest.mark.parametrize("pair", sorted(_sweep_pairs()))
+def test_sweep_reports_match_the_per_frame_sweep(monkeypatch, pair, seed):
+    P1, P2 = _sweep_pairs()[pair]
+    n = P1.dim
+    runs = [(hp.verify_theorem1, (P1, P2, m, 6, seed)) for m in range(2, n)]
+    runs.append((hp.verify_corollary1, (P1, P2, None, n - 1, 6, seed)))
+    if n == 4:
+        line = hp.orthonormalize([[1.0, 2.0, 0.0, -1.0]])
+        runs.append((hp.verify_corollary1, (P1, P2, line, 3, 6, seed)))
+    got = [files.report_to_text(check(*args)) for check, args in runs]
+    monkeypatch.setattr(verify, "_projection_sweep", _per_frame_sweep)
+    assert got == [files.report_to_text(check(*args)) for check, args in runs]
+
+
+def test_sweep_hulls_all_shadows_in_one_lp_call(monkeypatch):
+    P1, P2 = _sweep_pairs()["moved_cube"]
+    calls = _count_margin_calls(monkeypatch)
+    report = hp.verify_theorem1(P1, P2, 2, 8, 5)
+    assert report.verdict == "pass" and report.passes == 8
+    assert len(calls) == 1

@@ -163,6 +163,14 @@ def test_paraboloid_homothetic_proportional():
     )
 
 
+@pytest.mark.parametrize("s", [1e-10, 1e-6, 1.0, 1e6, 1e10])
+def test_paraboloid_homothetic_is_scale_invariant(s):
+    example1 = ParaboloidSpec(np.diag([2.0 * s, s])), ParaboloidSpec(np.diag([s, s]))
+    assert paraboloid_homothetic(*example1) is None
+    A = s * np.array([[3.0, 0.7], [0.7, 1.1]])
+    assert paraboloid_homothetic(ParaboloidSpec(A), ParaboloidSpec(A / 3.0)) == pytest.approx(3.0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ParaboloidSpec(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric

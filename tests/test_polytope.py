@@ -14,6 +14,7 @@ from homproj import (
     ZeroDirection,
     diameter,
     extreme_points,
+    extreme_points_many,
     minkowski_sum,
     negate,
     orthonormalize,
@@ -59,6 +60,24 @@ def test_extreme_points_errors():
         extreme_points([])
     with pytest.raises(DimensionMismatch):
         extreme_points([[1, 2], [1, 2, 3]])
+    with pytest.raises(DimensionMismatch):
+        extreme_points(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        extreme_points([[0, 0], [1, math.nan]])
+
+
+def test_extreme_points_many_errors():
+    stack = np.zeros((3, 4, 2))
+    stack[1, 2, 0] = math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        extreme_points_many(stack)
+    for empty in ([], np.zeros((0, 4, 2)), [np.zeros((0, 2))]):
+        with pytest.raises(EmptyInput):
+            extreme_points_many(empty)
+    with pytest.raises(DimensionMismatch):
+        extreme_points_many([[[0, 0], [1, 0]], [[1, 2], [1, 2, 3]]])
+    with pytest.raises(DimensionMismatch):
+        extreme_points_many(np.zeros((4, 2)))
 
 
 def test_support_square_edge(square):
