@@ -22,7 +22,7 @@ class DependentInput(KernelError):
 
 
 class ZeroDirection(KernelError):
-    """A direction vector is zero (or not unit where a unit vector is required)."""
+    """A direction vector is zero, not finite, or not unit where a unit vector is required."""
 
 
 class NotAVertex(KernelError):

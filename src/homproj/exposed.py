@@ -61,10 +61,10 @@ def _is_strict(res, P):
 def _perturbation_search(dim, f, eps, seed, accept):
     """The first non-None accept(g), over f and then its perturbations g."""
     f = np.asarray(f, dtype=float)
-    if abs(np.linalg.norm(f) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(f) - 1.0) <= 1e-9:
         raise ZeroDirection("f must be a unit vector")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     found = accept(f)
     if found is not None:
         return found

@@ -26,7 +26,7 @@ class Frame:
         if B.ndim != 2 or B.shape[0] < 1 or B.shape[0] > B.shape[1]:
             raise BadDims(f"bad basis shape {B.shape}")
         gram = B @ B.T
-        if np.max(np.abs(gram - np.eye(B.shape[0]))) > GRAM_TOL:
+        if not np.max(np.abs(gram - np.eye(B.shape[0]))) <= GRAM_TOL:
             raise DependentInput("basis rows are not orthonormal")
         B.setflags(write=False)
         object.__setattr__(self, "basis", B)
@@ -45,7 +45,7 @@ def orthonormalize(vectors):
 
     Modified Gram-Schmidt with a re-orthogonalization pass. Raises
     DependentInput when the numerical rank (tolerance RANK_TOL relative to
-    the largest input norm) is below the vector count.
+    the largest input norm) is below the vector count, or an entry is not finite.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     if V.size == 0:
@@ -62,7 +62,7 @@ def orthonormalize(vectors):
             for r in rows:
                 w -= (w @ r) * r
         norm = np.linalg.norm(w)
-        if norm <= RANK_TOL * max_norm:
+        if not norm > RANK_TOL * max_norm:
             raise DependentInput("numerically dependent input vectors")
         rows.append(w / norm)
     return Frame(np.array(rows))
@@ -85,13 +85,7 @@ def random_frame(n, m, seed):
     """
     if not 1 <= m <= n:
         raise BadDims(f"need 1 <= m <= n, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
-    for _ in range(16):
-        try:
-            return orthonormalize(rng.standard_normal((m, n)))
-        except DependentInput:
-            continue
-    raise DependentInput("random sampling kept producing dependent vectors")
+    return _extend(np.empty((0, n)), m, seed)
 
 
 def frame_containing(sub, m, seed):
@@ -101,11 +95,16 @@ def frame_containing(sub, m, seed):
         raise BadDims(f"need sub_dim <= m <= n, got {sub.sub_dim}, m={m}, n={n}")
     if m == sub.sub_dim:
         return sub
+    return _extend(sub.basis, m, seed)
+
+
+def _extend(head, m, seed):
+    """Frame of head's rows and m - len(head) seeded normal rows, redrawn while dependent."""
     rng = np.random.default_rng(seed)
     for _ in range(16):
-        extra = rng.standard_normal((m - sub.sub_dim, n))
+        extra = rng.standard_normal((m - head.shape[0], head.shape[1]))
         try:
-            return orthonormalize(np.vstack([sub.basis, extra]))
+            return orthonormalize(np.concatenate([head, extra]))
         except DependentInput:
             continue
     raise DependentInput("random sampling kept producing dependent vectors")

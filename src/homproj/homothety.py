@@ -28,6 +28,8 @@ def apply_homothety(P, z, ratio):
     if z.shape != (P.dim,):
         raise DimensionMismatch(f"shift length {z.shape} vs dim {P.dim}")
     V = z + ratio * P.vertices
+    if not np.isfinite(V).all():
+        raise ValueError("homothety image has non-finite coordinates")
     return Polytope(_canonical_sort(V, _scale(abs(ratio) * P.diameter)))
 
 

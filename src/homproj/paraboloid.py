@@ -21,7 +21,11 @@ PROPORTION_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ParaboloidSpec:
-    """Coefficient matrix A of the solid paraboloid (x,y).A.(x,y) <= z."""
+    """Coefficient matrix A of the solid paraboloid (x,y).A.(x,y) <= z.
+
+    A is finite, exactly symmetric, and its smallest eigenvalue exceeds 1e-12
+    times its largest (positive definite relative to its own size).
+    """
 
     coeff: np.ndarray
 
@@ -31,7 +35,10 @@ class ParaboloidSpec:
             raise BadDims(f"coefficient matrix must be 2x2, got {A.shape}")
         if A[0, 1] != A[1, 0]:
             raise ValueError("coefficient matrix must be exactly symmetric")
-        if np.linalg.eigvalsh(A).min() <= 1e-12:
+        if not np.all(np.isfinite(A)):
+            raise ValueError("coefficient matrix must be finite")
+        low, high = np.linalg.eigvalsh(A)
+        if not low > 1e-12 * high:
             raise ValueError("coefficient matrix must be positive definite")
         A.setflags(write=False)
         object.__setattr__(self, "coeff", A)

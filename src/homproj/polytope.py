@@ -190,8 +190,8 @@ def support(P, u):
     if u.shape != (P.dim,):
         raise DimensionMismatch(f"direction length {u.shape} vs dim {P.dim}")
     norm_u = float(np.linalg.norm(u))
-    if norm_u == 0.0:
-        raise ZeroDirection("zero support direction")
+    if not 0.0 < norm_u < math.inf:
+        raise ZeroDirection("support direction must be nonzero and finite")
     vals = P.vertices @ u
     best = float(vals.max())
     tol = REL_TOL * P.scale * norm_u

@@ -67,9 +67,7 @@ def _projection_sweep(name, P1, P2, frames, seed):
     """
     direct = detect_homothety(P1, P2)
     hulls = extreme_points_many([_shadow(P, frame) for frame in frames for P in (P1, P2)])
-    witnesses = []
     homothetic_count = 0
-    n_frames = len(frames)
     first_bad = None
     for frame, Q1, Q2 in zip(frames, hulls[::2], hulls[1::2]):
         result = detect_homothety(Q1, Q2)
@@ -81,77 +79,67 @@ def _projection_sweep(name, P1, P2, frames, seed):
         elif first_bad is None:
             first_bad = _projection_record(frame, Q1, Q2, result)
 
-    if direct is not None:
-        verdict = "pass" if homothetic_count == n_frames else "fail"
-        if first_bad is not None:
-            witnesses.append(first_bad)
-        return Report(
-            check_name=name,
-            instances_run=n_frames,
-            passes=homothetic_count,
-            seed=seed,
-            verdict=verdict,
-            witnesses=witnesses
-            + [{"direct_homothety": homothety_record(direct)}],
-        )
-    if first_bad is not None:
-        witnesses.append(first_bad)
-        verdict = "pass"
-    else:
+    existential = direct is None
+    witnesses = [] if first_bad is None else [first_bad]
+    if not existential:
+        witnesses.append({"direct_homothety": homothety_record(direct)})
+    elif first_bad is None:
         witnesses.append({"converse_tension": True})
-        verdict = "fail"
     return Report(
         check_name=name,
-        instances_run=n_frames,
-        passes=n_frames - homothetic_count,
+        instances_run=len(frames),
+        passes=len(frames) - homothetic_count if existential else homothetic_count,
         seed=seed,
-        verdict=verdict,
-        existential=True,
+        # universal: pass iff no frame is bad; existential: pass iff one is
+        verdict="pass" if (first_bad is not None) == existential else "fail",
+        existential=existential,
         witnesses=witnesses,
     )
 
 
-def verify_theorem1(P1, P2, m, samples, seed):
-    """Projection sweep over random m-frames."""
-    n = P1.dim
-    if P2.dim != n:
-        raise BadDims(f"dims {P1.dim} vs {P2.dim}")
-    if not 2 <= m <= n - 1:
-        raise BadDims(f"need 2 <= m <= n - 1, got m={m}, n={n}")
+def _frames(n, m, sub, samples, seed):
+    """The seeded m-frames of a sweep, each containing sub (any if sub is None)."""
     if samples < 1:
         raise BadDims("samples must be >= 1")
-    frames = [random_frame(n, m, _subseed(seed, i)) for i in range(samples)]
-    return _projection_sweep("theorem1", P1, P2, frames, seed)
+    if sub is None:
+        return [random_frame(n, m, _subseed(seed, i)) for i in range(samples)]
+    return [frame_containing(sub, m, _subseed(seed, i)) for i in range(samples)]
+
+
+def _sweep(name, P1, P2, sub, m, samples, seed):
+    """Projection sweep over m-frames containing sub, with r = dim sub (0 if None).
+
+    Theorem 1 is corollary 1 at r = 0, where r <= m - 2 <= n - 3 reads
+    2 <= m <= n - 1.
+    """
+    n = P1.dim
+    if P2.dim != n or (sub is not None and sub.ambient_dim != n):
+        raise BadDims("ambient dimensions differ")
+    r = 0 if sub is None else sub.sub_dim
+    if not r <= m - 2 <= n - 3:
+        raise BadDims(f"need r <= m - 2 <= n - 3, got r={r}, m={m}, n={n}")
+    return _projection_sweep(name, P1, P2, _frames(n, m, sub, samples, seed), seed)
+
+
+def verify_theorem1(P1, P2, m, samples, seed):
+    """Projection sweep over random m-frames."""
+    return _sweep("theorem1", P1, P2, None, m, samples, seed)
 
 
 def verify_corollary1(P1, P2, sub, m, samples, seed):
     """Projection sweep restricted to m-frames containing the subspace.
 
     ``sub`` may be None for the trivial zero subspace (r = 0), in which case
-    the frames are unconstrained.
+    the frames are unconstrained and the report is theorem 1's but for its name.
     """
-    n = P1.dim
-    if P2.dim != n or (sub is not None and sub.ambient_dim != n):
-        raise BadDims("ambient dimensions differ")
-    r = 0 if sub is None else sub.sub_dim
-    if not (r <= m - 2 and m - 2 <= n - 3):
-        raise BadDims(f"need r <= m - 2 <= n - 3, got r={r}, m={m}, n={n}")
-    if samples < 1:
-        raise BadDims("samples must be >= 1")
-    if sub is None:
-        frames = [random_frame(n, m, _subseed(seed, i)) for i in range(samples)]
-    else:
-        frames = [frame_containing(sub, m, _subseed(seed, i)) for i in range(samples)]
-    return _projection_sweep("corollary1", P1, P2, frames, seed)
+    return _sweep("corollary1", P1, P2, sub, m, samples, seed)
 
 
 def verify_theorem2(P):
     """Every vertex must be antipodally exposed (polytope specialization)."""
     if P.num_vertices < 2:
         raise SingletonInput("theorem 2 excludes singletons")
-    exposed = antipodally_exposed_points(P)
-    hit = {tuple(v.tolist()) for v in exposed}
-    passes = sum(1 for v in P.vertices if tuple(v.tolist()) in hit)
+    hit = {tuple(v.tolist()) for v in antipodally_exposed_points(P)}
     witnesses = [
         {"missed_vertex": v.tolist()}
         for v in P.vertices
@@ -160,9 +148,9 @@ def verify_theorem2(P):
     return Report(
         check_name="theorem2",
         instances_run=P.num_vertices,
-        passes=passes,
+        passes=P.num_vertices - len(witnesses),
         seed=0,
-        verdict="pass" if passes == P.num_vertices else "fail",
+        verdict="fail" if witnesses else "pass",
         witnesses=witnesses,
     )
 
@@ -258,15 +246,13 @@ def verify_example1(samples, seed):
     2-frames; every shadow pair must be positively homothetic while the
     solid bodies themselves are not.
     """
-    if samples < 1:
-        raise BadDims("samples must be >= 1")
+    frames = _frames(3, 2, None, samples, seed)
     s1 = ParaboloidSpec(np.eye(2))
     s2 = ParaboloidSpec(np.diag([2.0, 1.0]))
     body_ratio = paraboloid_homothetic(s1, s2)
     passes = 0
     witnesses = []
-    for i in range(samples):
-        frame = random_frame(3, 2, _subseed(seed, i))
+    for frame in frames:
         r1 = project_paraboloid(s1, frame)
         r2 = project_paraboloid(s2, frame)
         h = parabola_homothety(r1, r2)

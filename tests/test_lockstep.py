@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homproj as hp
-from homproj import _simplex_py, files, verify
+from homproj import _simplex_py, files, homothety, verify
 from homproj._simplex_py import OPTIMAL, UNBOUNDED, simplex_maximize_batch
+from homproj.homothety import DEFAULT_TOL
 from homproj.lp import margin_directions
 from homproj.polytope import REL_TOL, _canonical_sort, _distances
 from homproj.verify import _subseed
@@ -456,3 +457,51 @@ def test_sweep_hulls_all_shadows_in_one_lp_call(monkeypatch):
     report = hp.verify_theorem1(P1, P2, 2, 8, 5)
     assert report.verdict == "pass" and report.passes == 8
     assert len(calls) == 1
+
+
+def _fail_second_set_equal(monkeypatch):
+    """Make the second frame's soundness check fail: a universal fail."""
+    calls = []
+
+    def second_fails(P1, P2, tol=DEFAULT_TOL):
+        calls.append(None)
+        return len(calls) != 2 and homothety.set_equal(P1, P2, tol)
+
+    for module in (verify, hp):
+        monkeypatch.setattr(module, "set_equal", second_fails)
+
+
+def _hide_direct_homothety(monkeypatch):
+    """Find no homothety between the 3-D bodies: converse tension."""
+
+    def no_direct(P1, P2, tol=DEFAULT_TOL):
+        return None if P1.dim == 3 else homothety.detect_homothety(P1, P2, tol)
+
+    for module in (verify, hp):
+        monkeypatch.setattr(module, "detect_homothety", no_direct)
+
+
+FIRST_BAD = ["frame", "projection_1", "projection_2", "homothety"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "patch, existential, passes, witness_keys",
+    [
+        (_fail_second_set_equal, False, 5, [FIRST_BAD, ["direct_homothety"]]),
+        (_hide_direct_homothety, True, 0, [["converse_tension"]]),
+    ],
+)
+def test_sweep_fail_branches_match_the_per_frame_sweep(
+    monkeypatch, patch, existential, passes, witness_keys, seed
+):
+    P1, P2 = _sweep_pairs()["moved_cube"]
+    texts = []
+    for sweep in (verify._projection_sweep, _per_frame_sweep):
+        monkeypatch.setattr(verify, "_projection_sweep", sweep)
+        patch(monkeypatch)
+        report = hp.verify_theorem1(P1, P2, 2, 6, seed)
+        assert (report.verdict, report.existential, report.passes) == ("fail", existential, passes)
+        assert [list(w) for w in report.witnesses] == witness_keys
+        texts.append(files.report_to_text(report))
+    assert texts[0] == texts[1]

@@ -163,10 +163,13 @@ def test_paraboloid_homothetic_proportional():
     )
 
 
-@pytest.mark.parametrize("s", [1e-10, 1e-6, 1.0, 1e6, 1e10])
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-12, 1e-10, 1e-6, 1.0, 1e6, 1e10, 1e200, 1e300])
 def test_paraboloid_homothetic_is_scale_invariant(s):
     example1 = ParaboloidSpec(np.diag([2.0 * s, s])), ParaboloidSpec(np.diag([s, s]))
     assert paraboloid_homothetic(*example1) is None
+    identity = ParaboloidSpec(s * np.eye(2))
+    assert paraboloid_homothetic(identity, ParaboloidSpec(2.0 * s * np.eye(2))) == 0.5
+    assert paraboloid_homothetic(identity, ParaboloidSpec(s * np.diag([2.0, 1.0]))) is None
     A = s * np.array([[3.0, 0.7], [0.7, 1.1]])
     assert paraboloid_homothetic(ParaboloidSpec(A), ParaboloidSpec(A / 3.0)) == pytest.approx(3.0)
 
@@ -176,3 +179,11 @@ def test_spec_validation():
         ParaboloidSpec(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
     with pytest.raises(ValueError):
         ParaboloidSpec(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+    for diagonal, reason in (
+        ([np.inf, 1.0], "must be finite"),
+        ([np.nan, 1.0], "must be finite"),
+        ([1.0, 1e-13], "positive definite"),
+        ([0.0, 0.0], "positive definite"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            ParaboloidSpec(np.diag(diagonal))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from homproj import (
     verify_theorem1,
     verify_theorem2,
 )
+from homproj import exposed
 from homproj.files import report_to_text
 
 
@@ -59,6 +62,25 @@ def test_corollary1_zero_subspace_witness(cube, octahedron):
     assert rep.existential
 
 
+def test_corollary1_at_the_zero_subspace_is_theorem1(cube, octahedron):
+    moved = apply_homothety(cube, np.array([1.0, -2.0, 0.5]), -1.5)
+    P4 = random_polytope(4, 10, 17)
+    for P1, P2 in ((moved, cube), (cube, octahedron), (P4, random_polytope(4, 12, 18))):
+        n = P1.dim
+        for m in range(2, n):
+            for seed in (0, 5):
+                t1 = verify_theorem1(P1, P2, m, 4, seed)
+                c1 = verify_corollary1(P1, P2, None, m, 4, seed)
+                assert c1.check_name == "corollary1"
+                assert report_to_text(replace(c1, check_name="theorem1")) == report_to_text(t1)
+        for m in (1, n):
+            with pytest.raises(BadDims) as t1:
+                verify_theorem1(P1, P2, m, 4, 0)
+            with pytest.raises(BadDims) as c1:
+                verify_corollary1(P1, P2, None, m, 4, 0)
+            assert str(t1.value) == str(c1.value)
+
+
 def test_theorem2(square):
     rep = verify_theorem2(square)
     assert rep.verdict == "pass"
@@ -67,6 +89,18 @@ def test_theorem2(square):
     assert rep.verdict == "pass"
     with pytest.raises(SingletonInput):
         verify_theorem2(extreme_points([[0.0, 0.0]]))
+
+
+def test_theorem2_reports_missed_vertices_in_vertex_order(monkeypatch, square):
+    diagonals = exposed.exposed_diameters(square)
+    assert [(d.x.tolist(), d.z.tolist()) for d in diagonals] == [
+        ([0.0, 0.0], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, 0.0]),
+    ]
+    monkeypatch.setattr(exposed, "exposed_diameters", lambda P: diagonals[:1])
+    rep = verify_theorem2(square)
+    assert (rep.instances_run, rep.passes, rep.verdict) == (4, 2, "fail")
+    assert rep.witnesses == [{"missed_vertex": [0.0, 1.0]}, {"missed_vertex": [1.0, 0.0]}]
 
 
 def test_no_parallel_diameters(square, triangle):
