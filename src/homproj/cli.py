@@ -14,7 +14,7 @@ from . import files, verify
 from .errors import KernelError
 from .exposed import antipodally_exposed_points, exposed_diameters
 from .geometry import random_frame
-from .homothety import detect_homothety, homothety_record
+from .homothety import DEFAULT_TOL, detect_homothety, homothety_record
 from .polytope import minkowski_sum, project_polytope, random_polytope, support
 
 
@@ -134,7 +134,7 @@ COMMANDS = [
          v.tolist() for v in antipodally_exposed_points(_read_polytope(a.polytope))
      ]}),
     ("homothety", "detect a homothety between two polytopes",
-     PAIR + [(("--tol",), {"type": float, "default": 1e-9})], _homothety),
+     PAIR + [(("--tol",), {"type": float, "default": DEFAULT_TOL})], _homothety),
     ("verify-theorem1", "projection sweep over random m-frames",
      PAIR + M + SAMPLES + SEED,
      lambda a: verify.verify_theorem1(*_read_pair(a), a.m, a.samples, a.seed)),

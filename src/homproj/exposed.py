@@ -20,7 +20,7 @@ PERTURB_RETRIES = 64
 
 @dataclass(frozen=True, eq=False)
 class ExposedDiameter:
-    """Antipodally exposed vertex pair with its witness direction.
+    """Antipodally exposed vertex pair x = P.vertices[i], z = P.vertices[j].
 
     support(P, witness) is the singleton {x} with gap margin_max, and
     support(P, -witness) is the singleton {z} with gap margin_min.
@@ -28,22 +28,20 @@ class ExposedDiameter:
 
     x: np.ndarray
     z: np.ndarray
+    i: int
+    j: int
     witness: np.ndarray
     margin_max: float
     margin_min: float
 
 
-def _vertex_index(P, v):
+def is_exposed(P, v):
+    """Whether vertex v is exposed; returns (flag, witness direction, margin)."""
     v = np.asarray(v, dtype=float)
     hits = np.flatnonzero((P.vertices == v).all(axis=1))
     if hits.size == 0:
         raise NotAVertex(f"{v.tolist()} is not a vertex of the polytope")
-    return int(hits[0])
-
-
-def is_exposed(P, v):
-    """Whether vertex v is exposed; returns (flag, witness direction, margin)."""
-    i = _vertex_index(P, v)
+    i = int(hits[0])
     if P.num_vertices == 1:
         u = np.zeros(P.dim)
         u[0] = 1.0
@@ -118,8 +116,8 @@ def exposed_diameter_near(P, f, eps, seed=0):
         hi, lo = support(P, g), support(P, -g)
         if not (_is_strict(hi, P) and _is_strict(lo, P)):
             return None
-        x, z = P.vertices[hi.face[0]], P.vertices[lo.face[0]]
-        return ExposedDiameter(x=x, z=z, witness=g, margin_max=hi.margin, margin_min=lo.margin)
+        i, j = hi.face[0], lo.face[0]
+        return ExposedDiameter(P.vertices[i], P.vertices[j], i, j, g, hi.margin, lo.margin)
 
     return _perturbation_search(P.dim, f, eps, seed, accept)
 
@@ -155,6 +153,8 @@ def exposed_diameters(P):
             ExposedDiameter(
                 x=V[i],
                 z=V[j],
+                i=i,
+                j=j,
                 witness=u,
                 margin_max=hi.margin,
                 margin_min=lo.margin,
@@ -167,8 +167,5 @@ def antipodally_exposed_points(P):
     """Vertices appearing as an endpoint of at least one exposed diameter."""
     if P.num_vertices < 2:
         raise SingletonInput("needs at least two vertices")
-    endpoints = set()
-    for d in exposed_diameters(P):
-        endpoints.add(_vertex_index(P, d.x))
-        endpoints.add(_vertex_index(P, d.z))
-    return [P.vertices[i] for i in sorted(endpoints)]
+    endpoints = {k for d in exposed_diameters(P) for k in (d.i, d.j)}
+    return [P.vertices[k] for k in sorted(endpoints)]

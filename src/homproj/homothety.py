@@ -45,18 +45,18 @@ def homothety_record(result):
 
 
 def _match_bijection(V1, V2, dist_tol):
-    """Max distance of the nearest-neighbor bijection V1 -> V2, or None.
+    """(match, max distance) of the nearest-neighbor bijection V1[i] -> V2[match[i]], or None.
 
     Vertices of a canonical polytope are pairwise separated well beyond the
     matching tolerance, so nearest-neighbor assignment is unambiguous
     whenever a bijection within tolerance exists.
     """
     dists = _distances(V1, V2)
-    nearest = dists.argmin(axis=1)
-    best = dists[np.arange(len(V1)), nearest]
-    if best.max() > dist_tol or len(set(nearest.tolist())) != len(V1):
+    match = dists.argmin(axis=1).tolist()
+    best = dists[np.arange(len(V1)), match]
+    if best.max() > dist_tol or len(set(match)) != len(V1):
         return None
-    return float(best.max())
+    return match, float(best.max())
 
 
 def set_equal(P1, P2, tol=DEFAULT_TOL):
@@ -89,7 +89,7 @@ def detect_homothety(P1, P2, tol=DEFAULT_TOL):
     c2 = P2.vertices.mean(axis=0)
     for ratio in (ratio_abs, -ratio_abs):
         z = c1 - ratio * c2
-        residual = _match_bijection(P1.vertices, z + ratio * P2.vertices, tol * P1.scale)
-        if residual is not None:
-            return HomothetyResult(shift=z, ratio=float(ratio), residual=residual)
+        found = _match_bijection(P1.vertices, z + ratio * P2.vertices, tol * P1.scale)
+        if found is not None:
+            return HomothetyResult(shift=z, ratio=float(ratio), residual=found[1])
     return None

@@ -181,7 +181,7 @@ def extreme_points_many(stack):
 
 
 def support(P, u):
-    """Support function value of P at u, with the attaining face.
+    """Support function value of P at a finite nonzero u, with the attaining face.
 
     face holds the argmax vertex indices within REL_TOL * scale * |u|; margin is
     the gap to the best vertex outside the face (inf when there is none).
@@ -191,7 +191,15 @@ def support(P, u):
         raise DimensionMismatch(f"direction length {u.shape} vs dim {P.dim}")
     norm_u = float(np.linalg.norm(u))
     if not 0.0 < norm_u < math.inf:
-        raise ZeroDirection("support direction must be nonzero and finite")
+        # |u| over- or underflowed: solve at u / 2^e, max|u / 2^e| in [0.5, 1)
+        big = float(np.abs(u).max())
+        if not 0.0 < big < math.inf:
+            raise ZeroDirection("support direction must be nonzero and finite")
+        e = math.frexp(big)[1]
+        res = support(P, np.ldexp(u, -e))
+        with np.errstate(over="ignore"):  # a value past the float range is inf
+            value, margin = np.ldexp([res.value, res.margin], e).tolist()
+        return SupportResult(value=value, face=res.face, margin=margin)
     vals = P.vertices @ u
     best = float(vals.max())
     tol = REL_TOL * P.scale * norm_u

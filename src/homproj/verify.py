@@ -8,9 +8,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDims, SingletonInput
-from .exposed import antipodally_exposed_points, exposed_diameters
+from .exposed import exposed_diameters
 from .geometry import frame_containing, random_frame
-from .homothety import apply_homothety, detect_homothety, homothety_record, set_equal
+from .homothety import (
+    _match_bijection,
+    apply_homothety,
+    detect_homothety,
+    homothety_record,
+    set_equal,
+)
 from .paraboloid import (
     ParaboloidSpec,
     parabola_homothety,
@@ -139,11 +145,11 @@ def verify_theorem2(P):
     """Every vertex must be antipodally exposed (polytope specialization)."""
     if P.num_vertices < 2:
         raise SingletonInput("theorem 2 excludes singletons")
-    hit = {tuple(v.tolist()) for v in antipodally_exposed_points(P)}
+    hit = {k for d in exposed_diameters(P) for k in (d.i, d.j)}
     witnesses = [
         {"missed_vertex": v.tolist()}
-        for v in P.vertices
-        if tuple(v.tolist()) not in hit
+        for k, v in enumerate(P.vertices)
+        if k not in hit
     ]
     return Report(
         check_name="theorem2",
@@ -166,7 +172,7 @@ def verify_no_parallel_diameters(P):
     if P.num_vertices < 2:
         raise SingletonInput("needs at least two vertices")
     diams = exposed_diameters(P)
-    X, Z = np.array([[d.x for d in diams], [d.z for d in diams]]).reshape(2, len(diams), P.dim)
+    X, Z = P.vertices[[d.i for d in diams]], P.vertices[[d.j for d in diams]]
     U = (X - Z) / np.diagonal(_distances(X, Z))[:, None]
     I, J = np.triu_indices(len(diams), 1)
     gaps = np.minimum(_distances(U)[I, J], _distances(U, -U)[I, J])
@@ -194,7 +200,9 @@ def verify_diameter_transfer(P1, P2):
 
     With P1 = z + lambda * P2, the inverse map v -> (v - z) / lambda must
     carry the exposed diameters of P1 exactly onto those of P2 (as unordered
-    endpoint pairs). Non-homothetic inputs yield a not-applicable verdict.
+    endpoint pairs): the vertex bijection of ``detect_homothety`` must send
+    each P1 diameter {i, j} to a P2 diameter. Non-homothetic inputs yield a
+    not-applicable verdict.
     """
     h = detect_homothety(P1, P2)
     if h is None:
@@ -206,35 +214,20 @@ def verify_diameter_transfer(P1, P2):
             verdict="not-applicable",
         )
     d1 = exposed_diameters(P1)
-    d2 = exposed_diameters(P2)
-    tol = PARALLEL_TOL * P2.scale
-
-    def same_pair(ends, e):
-        near = _distances(ends, np.array([e.x, e.z])) <= tol
-        return (near[0, 0] and near[1, 1]) or (near[0, 1] and near[1, 0])
-
-    matched = 0
-    witnesses = []
-    used = set()
-    for d in d1:
-        ends = (np.array([d.x, d.z]) - h.shift) / h.ratio
-        hit = None
-        for j, e in enumerate(d2):
-            if j not in used and same_pair(ends, e):
-                hit = j
-                break
-        if hit is None:
-            witnesses.append({"unmatched_diameter": [d.x.tolist(), d.z.tolist()]})
-        else:
-            used.add(hit)
-            matched += 1
-    ok = matched == len(d1) and len(d1) == len(d2)
+    pairs2 = {frozenset((e.i, e.j)) for e in exposed_diameters(P2)}
+    # the vertex bijection that detect_homothety found: its largest distance is h.residual
+    match, _ = _match_bijection(P1.vertices, h.shift + h.ratio * P2.vertices, h.residual)
+    witnesses = [
+        {"unmatched_diameter": [d.x.tolist(), d.z.tolist()]}
+        for d in d1
+        if frozenset((match[d.i], match[d.j])) not in pairs2
+    ]
     return Report(
         check_name="diameter_transfer",
-        instances_run=max(len(d1), len(d2)),
-        passes=matched,
+        instances_run=max(len(d1), len(pairs2)),
+        passes=len(d1) - len(witnesses),
         seed=0,
-        verdict="pass" if ok else "fail",
+        verdict="pass" if not witnesses and len(d1) == len(pairs2) else "fail",
         witnesses=witnesses,
     )
 

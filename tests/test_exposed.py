@@ -165,6 +165,8 @@ def _kstar_exposed_diameter_near(P, kstar, f, eps, seed=0):
     return ExposedDiameter(
         x=x,
         z=z,
+        i=hi,
+        j=lo,
         witness=g,
         margin_max=support(P, g).margin,
         margin_min=support(P, -g).margin,
@@ -172,13 +174,13 @@ def _kstar_exposed_diameter_near(P, kstar, f, eps, seed=0):
 
 
 def _outcome(near, f, seed):
-    """Bytes of x, z, witness and both margins of near(f, 1e-3, seed), or the
-    exception type."""
+    """Indices of x and z, and bytes of x, z, witness and both margins of
+    near(f, 1e-3, seed), or the exception type."""
     try:
         d = near(f, 1e-3, seed)
     except PerturbationFailed as exc:
         return type(exc)
-    return tuple(
+    return (d.i, d.j) + tuple(
         np.asarray(v, dtype=float).tobytes()
         for v in (d.x, d.z, d.witness, d.margin_max, d.margin_min)
     )
@@ -270,6 +272,17 @@ def test_diameter_witness_invariants():
         assert len(hi.face) == 1 and len(lo.face) == 1
         assert np.array_equal(P.vertices[hi.face[0]], d.x)
         assert np.array_equal(P.vertices[lo.face[0]], d.z)
+
+
+def test_diameter_indices_name_their_endpoints(square, cube, octahedron):
+    rng = np.random.default_rng(11)
+    for P in (square, cube, octahedron, random_polytope(2, 9, 8), random_polytope(4, 10, 9)):
+        diams = exposed_diameters(P)
+        diams += [exposed_diameter_near(P, f, 1e-3) for f in _near_directions(P.dim, rng, 4)]
+        for d in diams:
+            assert np.array_equal(P.vertices[d.i], d.x)
+            assert np.array_equal(P.vertices[d.j], d.z)
+            assert d.i != d.j
 
 
 def test_difference_body_consistency():

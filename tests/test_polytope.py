@@ -107,6 +107,41 @@ def test_support_zero_direction(square):
         support(square, [0, 0])
 
 
+def _plain_support(P, u):
+    """Frozen copy of ``support`` before directions with an over- or
+    underflowing norm were rescaled: the reference for normal-range u."""
+    u = np.asarray(u, dtype=float)
+    norm_u = float(np.linalg.norm(u))
+    vals = P.vertices @ u
+    best = float(vals.max())
+    on_face = vals >= best - 1e-9 * P.scale * norm_u
+    off = vals[~on_face]
+    margin = float(best - off.max()) if off.size else math.inf
+    return best, tuple(int(i) for i in np.flatnonzero(on_face)), margin
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_support_direction_with_extreme_norm(square):
+    # |u| overflows or underflows though u is finite and nonzero
+    for u in ([1e308, 1e308], [1e-300, 2e-300]):
+        assert support(square, u).face == (3,)
+    for u in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1e308, np.nan]):
+        with pytest.raises(ZeroDirection):
+            support(square, u)
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        P = random_polytope(n, 9, n)
+        for u in rng.standard_normal((20, n)):
+            res = support(P, u)
+            assert (res.value, res.face, res.margin) == _plain_support(P, u)
+            # a power of two moves the norm out of range but keeps the face
+            for k in (1000, -1000):
+                big = support(P, np.ldexp(u, k))
+                assert big.face == res.face
+                assert big.value == np.ldexp(res.value, k)
+                assert big.margin == np.ldexp(res.margin, k)
+
+
 def test_negate(square):
     assert negate(square).vertices.tolist() == [[-1, -1], [-1, 0], [0, -1], [0, 0]]
     # origin-symmetric set is fixed by negation

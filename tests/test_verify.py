@@ -17,8 +17,10 @@ from homproj import (
     verify_theorem1,
     verify_theorem2,
 )
-from homproj import exposed
+from homproj import exposed, verify
 from homproj.files import report_to_text
+from homproj.homothety import detect_homothety
+from homproj.polytope import _distances
 
 
 def test_theorem1_forward_cube(cube):
@@ -97,7 +99,7 @@ def test_theorem2_reports_missed_vertices_in_vertex_order(monkeypatch, square):
         ([0.0, 0.0], [1.0, 1.0]),
         ([0.0, 1.0], [1.0, 0.0]),
     ]
-    monkeypatch.setattr(exposed, "exposed_diameters", lambda P: diagonals[:1])
+    monkeypatch.setattr(verify, "exposed_diameters", lambda P: diagonals[:1])
     rep = verify_theorem2(square)
     assert (rep.instances_run, rep.passes, rep.verdict) == (4, 2, "fail")
     assert rep.witnesses == [{"missed_vertex": [0.0, 1.0]}, {"missed_vertex": [1.0, 0.0]}]
@@ -130,6 +132,81 @@ def test_diameter_transfer(cube, square, triangle):
 
     assert verify_diameter_transfer(negate(cube), cube).verdict == "pass"
     assert verify_diameter_transfer(square, triangle).verdict == "not-applicable"
+
+
+def _greedy_diameter_transfer(P1, P2):
+    """Frozen copy of the greedy ``verify_diameter_transfer`` that matched
+    endpoint coordinates within 1e-9 * scale: the reference."""
+    h = detect_homothety(P1, P2)
+    if h is None:
+        return verify.Report(
+            check_name="diameter_transfer",
+            instances_run=0,
+            passes=0,
+            seed=0,
+            verdict="not-applicable",
+        )
+    d1 = verify.exposed_diameters(P1)
+    d2 = verify.exposed_diameters(P2)
+    tol = 1e-9 * P2.scale
+
+    def same_pair(ends, e):
+        near = _distances(ends, np.array([e.x, e.z])) <= tol
+        return (near[0, 0] and near[1, 1]) or (near[0, 1] and near[1, 0])
+
+    matched = 0
+    witnesses = []
+    used = set()
+    for d in d1:
+        ends = (np.array([d.x, d.z]) - h.shift) / h.ratio
+        hit = None
+        for j, e in enumerate(d2):
+            if j not in used and same_pair(ends, e):
+                hit = j
+                break
+        if hit is None:
+            witnesses.append({"unmatched_diameter": [d.x.tolist(), d.z.tolist()]})
+        else:
+            used.add(hit)
+            matched += 1
+    ok = matched == len(d1) and len(d1) == len(d2)
+    return verify.Report(
+        check_name="diameter_transfer",
+        instances_run=max(len(d1), len(d2)),
+        passes=matched,
+        seed=0,
+        verdict="pass" if ok else "fail",
+        witnesses=witnesses,
+    )
+
+
+def _transfer_pairs():
+    """Seeded pairs (z + lambda * P, P) in R^2-R^4 with |lambda| in [0.1, 10]."""
+    rng = np.random.default_rng(808)
+    pairs = []
+    for s in range(42):
+        n = 2 + s % 3
+        P = random_polytope(n, int(rng.integers(4, 11)), 8000 + s)
+        lam = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))) * (-1.0) ** s
+        pairs.append((apply_homothety(P, rng.uniform(-5.0, 5.0, n), lam), P))
+    return pairs
+
+
+def test_diameter_transfer_matches_greedy_reference(monkeypatch):
+    pairs = _transfer_pairs()
+    for P1, P2 in pairs:
+        got = report_to_text(verify_diameter_transfer(P1, P2))
+        assert got == report_to_text(_greedy_diameter_transfer(P1, P2))
+        assert '"verdict": "pass"' in got
+    # P2 loses its last diameter: P1's diameter onto it is reported unmatched
+    full = exposed.exposed_diameters
+    for P1, P2 in pairs[:12]:
+        monkeypatch.setattr(
+            verify, "exposed_diameters", lambda P: full(P)[:-1] if P is P2 else full(P)
+        )
+        got = report_to_text(verify_diameter_transfer(P1, P2))
+        assert got == report_to_text(_greedy_diameter_transfer(P1, P2))
+        assert '"verdict": "fail"' in got and "unmatched_diameter" in got
 
 
 def test_example1():
