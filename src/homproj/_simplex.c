@@ -11,14 +11,14 @@
 
 enum { OPTIMAL = 0, UNBOUNDED = 1 };
 
-/* Solve B programs max c.x, A[k] x <= b[k], x >= 0 (every b[k][i] >= 0).
- * A is B x m x n, b is B x m, c (n) is shared, tol holds one pivot tolerance
- * per program; all row-major. Writes status[B], obj[B] and x[B x n]; an
- * unbounded program gets objective 0 and x = 0. Returns 0, or -1 when the
- * tableau cannot be allocated. */
-int simplex_maximize_batch(int64_t B, int64_t m, int64_t n, const double *A,
-                           const double *b, const double *c, const double *tol,
-                           int64_t *status, double *obj, double *x)
+/* Solve B programs max c.x, A[k] x <= b, x >= 0 (every b[i] >= 0), all
+ * pivoting at tol (``_simplex_py.PIVOT_TOL``). A is B x m x n, row-major;
+ * b (m) and c (n) are shared by the batch. Writes status[B], obj[B] and
+ * x[B x n]; an unbounded program gets objective 0 and x = 0. Returns 0, or
+ * -1 when the tableau cannot be allocated. */
+int simplex_maximize_batch(int64_t B, int64_t m, int64_t n, double tol, const double *A,
+                           const double *b, const double *c, int64_t *status,
+                           double *obj, double *x)
 {
     int64_t ncols = n + m, w = ncols + 1;
     double *T = malloc(sizeof(double) * (m + 1) * w);
@@ -29,13 +29,13 @@ int simplex_maximize_batch(int64_t B, int64_t m, int64_t n, const double *A,
         return -1;
     }
     for (int64_t k = 0; k < B; k++) {
-        const double *Ak = A + k * m * n, *bk = b + k * m;
-        double t = tol[k], *xk = x + k * n, *obj_row = T + m * w;
+        const double *Ak = A + k * m * n;
+        double *xk = x + k * n, *obj_row = T + m * w;
         memset(T, 0, sizeof(double) * (m + 1) * w);
         for (int64_t i = 0; i < m; i++) {
             memcpy(T + i * w, Ak + i * n, sizeof(double) * n);
             T[i * w + n + i] = 1.0;
-            T[i * w + ncols] = bk[i];
+            T[i * w + ncols] = b[i];
             basis[i] = n + i;
         }
         for (int64_t j = 0; j < n; j++)
@@ -48,7 +48,7 @@ int simplex_maximize_batch(int64_t B, int64_t m, int64_t n, const double *A,
             /* entering column: the lowest index with a reduced cost below -tol */
             int64_t col = -1, row = -1;
             for (int64_t j = 0; j < ncols && col < 0; j++)
-                if (obj_row[j] < -t)
+                if (obj_row[j] < -tol)
                     col = j;
             if (col < 0)
                 break;
@@ -56,7 +56,7 @@ int simplex_maximize_batch(int64_t B, int64_t m, int64_t n, const double *A,
             double best = 0.0;
             for (int64_t i = 0; i < m; i++) {
                 double a = T[i * w + col];
-                if (a > t) {
+                if (a > tol) {
                     double ratio = T[i * w + ncols] / a;
                     if (row < 0 || ratio < best || (ratio == best && basis[i] < basis[row])) {
                         row = i;

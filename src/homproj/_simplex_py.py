@@ -13,13 +13,15 @@ import numpy as np
 OPTIMAL = 0
 UNBOUNDED = 1
 
+# Pivot tolerance of both kernels; ``lp`` scales every program to max|D| in [0.5, 1).
+PIVOT_TOL = 1e-9
+
 # Largest number of tableau cells (float64) solved in one lockstep chunk.
-# It bounds the working set: an unchunked batch of large tableaux raised the
-# benchmark's peak memory by a fifth.
+# It bounds the working set of large hulls, such as that of a ``minkowski_sum``.
 CHUNK_CELLS = 2**15
 
 
-def simplex_maximize(A, b, c, tol):
+def simplex_maximize(A, b, c):
     """Maximize c.x subject to A x <= b, x >= 0, assuming every b[i] >= 0.
 
     The origin is then a basic feasible point, so a single phase suffices.
@@ -28,24 +30,20 @@ def simplex_maximize(A, b, c, tol):
 
     Returns (status, objective, x).
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    status, obj, x = simplex_maximize_batch(A[None], b[None], c, [tol])
+    status, obj, x = simplex_maximize_batch([A], b, c)
     return int(status[0]), obj[0], x[0]
 
 
-def simplex_maximize_batch(A, b, c, tol):
-    """Solve B programs max c.x, A[k] x <= b[k], x >= 0 (b[k] >= 0) at once.
+def simplex_maximize_batch(A, b, c):
+    """Solve B programs max c.x, A[k] x <= b, x >= 0 (b >= 0) at once.
 
-    A is (B, m, n), b is (B, m), c is (n,) and shared, tol is (B,), one
-    pivot tolerance per program. Returns (status[B], objective[B], x[B, n])
-    with the same values, bit for bit, as B calls of the scalar loop;
-    an unbounded program has objective 0.0 and x = 0.
+    A is (B, m, n) with m >= 1; b (m,) and c (n,) are shared by the whole
+    batch, and every program pivots at ``PIVOT_TOL``. Returns (status[B],
+    objective[B], x[B, n]) with the same values, bit for bit, as B calls of
+    the scalar loop; an unbounded program has objective 0.0 and x = 0.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    tol = np.asarray(tol, dtype=float)
     B, m, n = A.shape
     status = np.full(B, OPTIMAL)
     obj = np.zeros(B)
@@ -53,16 +51,13 @@ def simplex_maximize_batch(A, b, c, tol):
     chunk = max(1, CHUNK_CELLS // ((m + 1) * (n + m + 1)))
     for start in range(0, B, chunk):
         part = slice(start, start + chunk)
-        _solve_chunk(A[part], b[part], c, tol[part], status[part], obj[part], x[part])
+        _solve_chunk(A[part], b, c, status[part], obj[part], x[part])
     return status, obj, x
 
 
-def _solve_chunk(A, b, c, tol, status, obj, x):
+def _solve_chunk(A, b, c, status, obj, x):
     """Lockstep pivots on one chunk; writes results into the output views."""
     B, m, n = A.shape
-    if m == 0:  # no rows to pivot on: unbounded iff some column can enter
-        status[(c > tol[:, None]).any(axis=1)] = UNBOUNDED
-        return
     ncols = n + m
     T = np.zeros((B, m + 1, ncols + 1))
     T[:, :m, :n] = A
@@ -74,14 +69,14 @@ def _solve_chunk(A, b, c, tol, status, obj, x):
     rows = np.arange(B)  # position in T, for per-LP fancy indexing
 
     while True:
-        # entering column: the lowest index with a reduced cost below -tol
-        enter = T[:, m, :ncols] < -tol[:, None]
+        # entering column: the lowest index with a reduced cost below -PIVOT_TOL
+        enter = T[:, m, :ncols] < -PIVOT_TOL
         has_col = enter.any(axis=1)
         col = enter.argmax(axis=1)
 
-        # ratio test over rows with a > tol; ties go to the lowest basic index
+        # ratio test over rows with a > PIVOT_TOL; ties go to the lowest basic index
         a = T[rows, :m, col]
-        eligible = (a > tol[:, None]) & has_col[:, None]
+        eligible = (a > PIVOT_TOL) & has_col[:, None]
         ratio = np.divide(T[:, :m, ncols], a, out=np.full_like(a, np.inf), where=eligible)
         tied = eligible & (ratio == ratio.min(axis=1)[:, None])
         row = np.where(tied, basis, ncols).argmin(axis=1)
@@ -91,7 +86,7 @@ def _solve_chunk(A, b, c, tol, status, obj, x):
             optimal = ~has_col
             _extract(T[optimal], basis[optimal], ids[optimal], obj, x, n)
             status[ids[has_col & ~has_row]] = UNBOUNDED
-            T, basis, ids, tol = T[has_row], basis[has_row], ids[has_row], tol[has_row]
+            T, basis, ids = T[has_row], basis[has_row], ids[has_row]
             col, row = col[has_row], row[has_row]
             if not ids.size:
                 return

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
+from .errors import DimensionMismatch, NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
 from .lp import margin_direction, margin_directions
 from .polytope import REL_TOL, others_index, support
 
@@ -38,6 +38,8 @@ class ExposedDiameter:
 def is_exposed(P, v):
     """Whether vertex v is exposed; returns (flag, witness direction, margin)."""
     v = np.asarray(v, dtype=float)
+    if v.shape != (P.dim,):
+        raise DimensionMismatch(f"vertex length {v.shape} vs dim {P.dim}")
     hits = np.flatnonzero((P.vertices == v).all(axis=1))
     if hits.size == 0:
         raise NotAVertex(f"{v.tolist()} is not a vertex of the polytope")

@@ -27,7 +27,10 @@ def apply_homothety(P, z, ratio):
         raise ZeroLambda("homothety ratio must be nonzero")
     if z.shape != (P.dim,):
         raise DimensionMismatch(f"shift length {z.shape} vs dim {P.dim}")
-    V = z + ratio * P.vertices
+    if not all(map(math.isfinite, [ratio, *z.tolist()])):
+        raise ValueError("homothety ratio and shift must be finite")
+    with np.errstate(over="ignore"):  # an image past the float range is caught below
+        V = z + ratio * P.vertices
     if not np.isfinite(V).all():
         raise ValueError("homothety image has non-finite coordinates")
     return Polytope(_canonical_sort(V, _scale(abs(ratio) * P.diameter)))

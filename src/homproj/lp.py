@@ -5,9 +5,9 @@ direction u, |u|_inf <= 1, maximizing the smallest dot product u . d over a
 given list of difference vectors d. A strictly positive optimum certifies
 strict separation (extreme point, exposed vertex, exposed diameter). Each
 program is rescaled by a power of two until max|d| lies in [0.5, 1), and
-pivots with the fixed tolerance 1e-9. Power-of-two scaling is exact (the
-idea of Curtis & Reid, 1972), so a verdict does not depend on the scale of
-the d.
+pivots with the kernel's fixed tolerance ``_simplex_py.PIVOT_TOL``.
+Power-of-two scaling is exact (the idea of Curtis & Reid, 1972), so a
+verdict does not depend on the scale of the d.
 
 Callers that need many such programs at once (all k LPs of one hull, all
 pair LPs of one diameter enumeration) pass them together to
@@ -77,9 +77,7 @@ def margin_directions(Ds):
     b = np.concatenate([np.zeros(m), np.ones(2 * n)])
     c = np.zeros(nv)
     c[2 * n] = 1.0
-    status, obj, x = _kernel.simplex_maximize_batch(
-        A, np.broadcast_to(b, (B, b.size)), c, np.full(B, 1e-9)
-    )
+    status, obj, x = _kernel.simplex_maximize_batch(A, b, c)
     if np.any(status != OPTIMAL):
         raise RuntimeError("separation LP unbounded; inputs are not finite")
     return np.ldexp(obj, e), x[:, :n] - x[:, n : 2 * n]

@@ -189,17 +189,17 @@ def support(P, u):
     u = np.asarray(u, dtype=float)
     if u.shape != (P.dim,):
         raise DimensionMismatch(f"direction length {u.shape} vs dim {P.dim}")
-    norm_u = float(np.linalg.norm(u))
-    if not 0.0 < norm_u < math.inf:
-        # |u| over- or underflowed: solve at u / 2^e, max|u / 2^e| in [0.5, 1)
-        big = float(np.abs(u).max())
-        if not 0.0 < big < math.inf:
-            raise ZeroDirection("support direction must be nonzero and finite")
+    big = max(map(abs, u.tolist()))  # may step over a nan; the norm below does not
+    if 0.0 < big < math.inf and not 2.0**-500 < big < 2.0**500:
+        # |u| could over- or underflow: solve at u / 2^e, max|u / 2^e| in [0.5, 1)
         e = math.frexp(big)[1]
         res = support(P, np.ldexp(u, -e))
         with np.errstate(over="ignore"):  # a value past the float range is inf
             value, margin = np.ldexp([res.value, res.margin], e).tolist()
         return SupportResult(value=value, face=res.face, margin=margin)
+    norm_u = float(np.linalg.norm(u))  # in range, unless u is 0 or not finite
+    if not 0.0 < norm_u < math.inf:
+        raise ZeroDirection("support direction must be nonzero and finite")
     vals = P.vertices @ u
     best = float(vals.max())
     tol = REL_TOL * P.scale * norm_u

@@ -173,7 +173,7 @@ def verify_no_parallel_diameters(P):
         raise SingletonInput("needs at least two vertices")
     diams = exposed_diameters(P)
     X, Z = P.vertices[[d.i for d in diams]], P.vertices[[d.j for d in diams]]
-    U = (X - Z) / np.diagonal(_distances(X, Z))[:, None]
+    U = (X - Z) / _distances(X[:, None], Z[:, None])[:, 0]  # |x - z| of each pair alone
     I, J = np.triu_indices(len(diams), 1)
     gaps = np.minimum(_distances(U)[I, J], _distances(U, -U)[I, J])
     witnesses = [

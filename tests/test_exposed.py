@@ -4,6 +4,7 @@ import pytest
 import homproj.lp
 import homproj.polytope
 from homproj import (
+    DimensionMismatch,
     NotAVertex,
     PerturbationFailed,
     SingletonInput,
@@ -68,6 +69,13 @@ def test_is_exposed_segment_endpoints():
 def test_is_exposed_not_a_vertex(square):
     with pytest.raises(NotAVertex):
         is_exposed(square, [0.5, 0.5])
+
+
+def test_is_exposed_checks_the_vertex_length(square):
+    # [1.0] would broadcast against every row and match the vertex (1, 1)
+    for v in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(DimensionMismatch):
+            is_exposed(square, v)
 
 
 def test_exposed_point_near_square_tied_direction(square):

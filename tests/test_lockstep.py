@@ -9,6 +9,8 @@ projection sweep that hulls all its shadows at once must write the reports of
 the per-frame sweep.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import homproj as hp
 from homproj import _simplex_py, files, homothety, verify
-from homproj._simplex_py import OPTIMAL, UNBOUNDED, simplex_maximize_batch
+from homproj._simplex_py import OPTIMAL, PIVOT_TOL, UNBOUNDED, simplex_maximize_batch
 from homproj.homothety import DEFAULT_TOL
 from homproj.lp import margin_directions
 from homproj.polytope import REL_TOL, _canonical_sort, _distances
@@ -102,11 +104,11 @@ def _bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
 
-def _assert_batch_matches(A, b, c, tol):
+def _assert_batch_matches(A, b, c):
     """simplex_maximize_batch equals the scalar loop on every program; returns
     the reference results."""
-    status, obj, x = simplex_maximize_batch(A, b, c, tol)
-    ref = [_scalar_simplex(A[k], b[k], c, tol[k]) for k in range(len(A))]
+    status, obj, x = simplex_maximize_batch(A, b, c)
+    ref = [_scalar_simplex(A[k], b, c, PIVOT_TOL) for k in range(len(A))]
     for k, (s, o, xk) in enumerate(ref):
         assert status[k] == s, k
         assert _bits(obj[k]) == _bits(o), k
@@ -117,9 +119,7 @@ def _assert_batch_matches(A, b, c, tol):
 def _margin_batch(Ds):
     programs = [_margin_program(D) for D in Ds]
     A = np.array([p[0] for p in programs])
-    b = np.array([p[1] for p in programs])
-    tol = np.array([p[3] for p in programs])
-    return A, b, programs[0][2], tol
+    return A, programs[0][1], programs[0][2]
 
 
 def _margin_corpus(rng, count, m, n):
@@ -152,8 +152,7 @@ def _margin_corpus(rng, count, m, n):
 def test_batch_matches_scalar_on_margin_lps(count, m, n):
     rng = np.random.default_rng(1000 * m + n)
     Ds = _margin_corpus(rng, count, m, n)
-    A, b, c, tol = _margin_batch(Ds)
-    _assert_batch_matches(A, b, c, tol)
+    _assert_batch_matches(*_margin_batch(Ds))
     deltas, us = margin_directions(Ds)
     for k, D in enumerate(Ds):
         delta, u = _scalar_margin(D)
@@ -181,19 +180,40 @@ def test_batch_mixes_unbounded_and_optimal():
         B = 150
         A = rng.standard_normal((B, m, n))
         A[::2] = np.round(A[::2], 1)
-        b = rng.uniform(0.0, 2.0, (B, m))
-        b[::3, : m // 2] = -0.0
+        b = rng.uniform(0.0, 2.0, m)
+        b[: m // 2] = -0.0
         c = rng.standard_normal(n)
-        ref = _assert_batch_matches(A, b, c, np.full(B, 1e-9))
+        ref = _assert_batch_matches(A, b, c)
         assert {s for s, _, _ in ref} == {OPTIMAL, UNBOUNDED}, (m, n)
         x = np.concatenate([xk for _, _, xk in ref])
         negative_zeros += np.count_nonzero((x == 0.0) & np.signbit(x))
     assert negative_zeros > 0
 
 
-def test_batch_without_rows():
-    for c in ([1.0, -1.0], [-1.0, -2.0]):
-        _assert_batch_matches(np.zeros((3, 0, 2)), np.zeros((3, 0)), np.array(c), np.full(3, 1e-9))
+def test_pivot_tolerance_boundary_on_three_solvers(c_kernel):
+    # reduced costs (-c) and pivot-column entries at exactly +-PIVOT_TOL and
+    # one step to either side: the numpy kernel, the C kernel, which gets the
+    # tolerance as an argument, and the scalar loop must draw the strict
+    # "< -tol" and "> tol" lines at the same place
+    edge = [np.nextafter(PIVOT_TOL, 0.0), PIVOT_TOL, np.nextafter(PIVOT_TOL, 1.0)]
+    values = np.array(edge + [-v for v in edge] + [1.0])
+    A = np.random.default_rng(3).choice(values, (300, 2, 2))
+    b = np.array([1.0, 2.0])
+    flips = {np.nextafter(PIVOT_TOL, 0.0): 0, np.nextafter(PIVOT_TOL, 1.0): 0}
+    for c in itertools.product(values, repeat=2):
+        c = np.array(c)
+        ref = _assert_batch_matches(A, b, c)
+        got = c_kernel.simplex_maximize_batch(A, b, c)
+        assert [s for s, _, _ in ref] == got[0].tolist()
+        assert _bits([o for _, o, _ in ref]) == _bits(got[1])
+        assert _bits([xk for _, _, xk in ref]) == _bits(got[2])
+        for tol in flips:
+            flips[tol] += sum(
+                _scalar_simplex(A[k], b, c, tol)[0] != s for k, (s, _, _) in enumerate(ref)
+            )
+    # a tolerance one step off either way changes some verdicts: the data
+    # sits on the boundary
+    assert all(flips.values()), flips
 
 
 def _scalar_extreme_points(points):

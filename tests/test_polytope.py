@@ -120,7 +120,6 @@ def _plain_support(P, u):
     return best, tuple(int(i) for i in np.flatnonzero(on_face)), margin
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_support_direction_with_extreme_norm(square):
     # |u| overflows or underflows though u is finite and nonzero
     for u in ([1e308, 1e308], [1e-300, 2e-300]):
