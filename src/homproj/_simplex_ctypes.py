@@ -11,7 +11,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
-from ._simplex_py import PIVOT_TOL
+from ._simplex_py import PIVOT_TOL, _check_arguments
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -40,12 +40,8 @@ class Kernel:
 
     def simplex_maximize_batch(self, A, b, c):
         """Same contract as ``_simplex_py.simplex_maximize_batch``."""
-        A = np.ascontiguousarray(A, dtype=float)
-        b = np.ascontiguousarray(b, dtype=float)
-        c = np.ascontiguousarray(c, dtype=float)
+        A, b, c = _check_arguments(A, b, c)
         B, m, n = A.shape
-        if b.shape != (m,) or c.shape != (n,):
-            raise ValueError(f"b {b.shape}, c {c.shape} do not fit A {A.shape}")
         status = np.empty(B, dtype=np.int64)
         obj = np.empty(B)
         x = np.empty((B, n))

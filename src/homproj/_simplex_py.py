@@ -42,8 +42,7 @@ def simplex_maximize_batch(A, b, c):
     objective[B], x[B, n]) with the same values, bit for bit, as B calls of
     the scalar loop; an unbounded program has objective 0.0 and x = 0.
     """
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
+    A, b, c = _check_arguments(A, b, c)
     B, m, n = A.shape
     status = np.full(B, OPTIMAL)
     obj = np.zeros(B)
@@ -53,6 +52,14 @@ def simplex_maximize_batch(A, b, c):
         part = slice(start, start + chunk)
         _solve_chunk(A[part], b, c, status[part], obj[part], x[part])
     return status, obj, x
+
+
+def _check_arguments(A, b, c):
+    """A, b, c as contiguous float arrays; ValueError unless A is 3-D, b (m,), c (n,)."""
+    A, b, c = (np.ascontiguousarray(a, dtype=float) for a in (A, b, c))
+    if A.ndim != 3 or b.shape != A.shape[1:2] or c.shape != A.shape[2:]:
+        raise ValueError(f"b {b.shape}, c {c.shape} do not fit A {A.shape}")
+    return A, b, c
 
 
 def _solve_chunk(A, b, c, status, obj, x):

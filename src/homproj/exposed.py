@@ -58,6 +58,15 @@ def _is_strict(res, P):
     return len(res.face) == 1 and res.margin > REL_TOL * P.scale
 
 
+def _diameter_at(P, u):
+    """The exposed diameter with witness u, or None unless both faces are strict."""
+    hi, lo = support(P, u), support(P, -u)
+    if not (_is_strict(hi, P) and _is_strict(lo, P)):
+        return None
+    i, j = hi.face[0], lo.face[0]
+    return ExposedDiameter(P.vertices[i], P.vertices[j], i, j, u, hi.margin, lo.margin)
+
+
 def _perturbation_search(dim, f, eps, seed, accept):
     """The first non-None accept(g), over f and then its perturbations g."""
     f = np.asarray(f, dtype=float)
@@ -113,15 +122,7 @@ def exposed_diameter_near(P, f, eps, seed=0):
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
-
-    def accept(g):
-        hi, lo = support(P, g), support(P, -g)
-        if not (_is_strict(hi, P) and _is_strict(lo, P)):
-            return None
-        i, j = hi.face[0], lo.face[0]
-        return ExposedDiameter(P.vertices[i], P.vertices[j], i, j, g, hi.margin, lo.margin)
-
-    return _perturbation_search(P.dim, f, eps, seed, accept)
+    return _perturbation_search(P.dim, f, eps, seed, lambda g: _diameter_at(P, g))
 
 
 def exposed_diameters(P):
@@ -129,7 +130,8 @@ def exposed_diameters(P):
 
     For each pair (v, w) the LP maximizes the joint margin delta subject to
     u.(v - x) >= delta for x != v and u.(y - w) >= delta for y != w over the
-    |u|_inf <= 1 box; the pair qualifies iff delta > REL_TOL * scale.
+    |u|_inf <= 1 box; the pair qualifies iff delta > REL_TOL * scale and
+    ``_diameter_at`` finds the same pair at u / |u|.
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
@@ -144,24 +146,9 @@ def exposed_diameters(P):
     deltas, us = margin_directions(np.concatenate([max_rows[I], min_rows[J]], axis=1))
     out = []
     for i, j, delta, u in zip(I.tolist(), J.tolist(), deltas, us):
-        if delta <= tol:
-            continue
-        u = u / np.linalg.norm(u)
-        hi = support(P, u)
-        lo = support(P, -u)
-        if hi.face != (i,) or lo.face != (j,):
-            continue
-        out.append(
-            ExposedDiameter(
-                x=V[i],
-                z=V[j],
-                i=i,
-                j=j,
-                witness=u,
-                margin_max=hi.margin,
-                margin_min=lo.margin,
-            )
-        )
+        d = _diameter_at(P, u / np.linalg.norm(u)) if delta > tol else None
+        if d is not None and (d.i, d.j) == (i, j):
+            out.append(d)
     return out
 
 

@@ -13,11 +13,16 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class HomothetyResult:
-    """Witness of P1 = shift + ratio * P2; residual is the worst vertex match."""
+    """Witness of P1 = shift + ratio * P2 and its vertex bijection ``match``.
+
+    P1.vertices[i] lies within residual of shift + ratio * P2.vertices[match[i]];
+    match is None for regions without vertices (parabola shadows).
+    """
 
     shift: np.ndarray
     ratio: float
     residual: float
+    match: tuple = None
 
 
 def apply_homothety(P, z, ratio):
@@ -55,7 +60,7 @@ def _match_bijection(V1, V2, dist_tol):
     whenever a bijection within tolerance exists.
     """
     dists = _distances(V1, V2)
-    match = dists.argmin(axis=1).tolist()
+    match = tuple(dists.argmin(axis=1).tolist())
     best = dists[np.arange(len(V1)), match]
     if best.max() > dist_tol or len(set(match)) != len(V1):
         return None
@@ -86,7 +91,7 @@ def detect_homothety(P1, P2, tol=DEFAULT_TOL):
         return None
     if P1.num_vertices == 1:
         z = P1.vertices[0] - P2.vertices[0]
-        return HomothetyResult(shift=z, ratio=1.0, residual=0.0)
+        return HomothetyResult(shift=z, ratio=1.0, residual=0.0, match=(0,))
     ratio_abs = P1.diameter / P2.diameter
     c1 = P1.vertices.mean(axis=0)
     c2 = P2.vertices.mean(axis=0)
@@ -94,5 +99,6 @@ def detect_homothety(P1, P2, tol=DEFAULT_TOL):
         z = c1 - ratio * c2
         found = _match_bijection(P1.vertices, z + ratio * P2.vertices, tol * P1.scale)
         if found is not None:
-            return HomothetyResult(shift=z, ratio=float(ratio), residual=found[1])
+            match, residual = found
+            return HomothetyResult(shift=z, ratio=float(ratio), residual=residual, match=match)
     return None

@@ -8,6 +8,7 @@ closed form via the support function h(v) = (v_xy . A^-1 . v_xy) / (4 |v_3|)
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,11 @@ class ParaboloidSpec:
             raise ValueError("coefficient matrix must be positive definite")
         A.setflags(write=False)
         object.__setattr__(self, "coeff", A)
+
+    @cached_property
+    def inverse(self):
+        """A^-1, computed once per paraboloid."""
+        return np.linalg.inv(self.coeff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +86,7 @@ def project_paraboloid(spec, frame):
     axis = w / wn
     perp = _perp(axis)
     B = frame.basis[:, :2]
-    M = B @ np.linalg.inv(spec.coeff) @ B.T / wn
+    M = B @ spec.inverse @ B.T / wn
     m11 = float(perp @ M @ perp)
     m12 = float(perp @ M @ axis)
     m22 = float(axis @ M @ axis)
@@ -139,4 +145,4 @@ def shadow_support(spec, frame, d):
     if v[2] >= 0.0:
         return math.inf if np.linalg.norm(v) > 0 else 0.0
     vxy = v[:2]
-    return float(vxy @ np.linalg.inv(spec.coeff) @ vxy) / (4.0 * abs(v[2]))
+    return float(vxy @ spec.inverse @ vxy) / (4.0 * abs(v[2]))

@@ -10,13 +10,7 @@ import numpy as np
 from .errors import BadDims, SingletonInput
 from .exposed import exposed_diameters
 from .geometry import frame_containing, random_frame
-from .homothety import (
-    _match_bijection,
-    apply_homothety,
-    detect_homothety,
-    homothety_record,
-    set_equal,
-)
+from .homothety import detect_homothety, homothety_record
 from .paraboloid import (
     ParaboloidSpec,
     parabola_homothety,
@@ -65,11 +59,19 @@ def _projection_sweep(name, P1, P2, frames, seed):
     All shadows of P1 and P2, two per frame, are hulled in one
     ``extreme_points_many`` call; each hull equals that of its own
     ``project_polytope`` call. When P1 and P2 are homothetic the check is
-    universal: every sampled projection pair must be homothetic (and the
-    detected map must reproduce the projection at set level). When they are
-    not, the check is existential: a non-homothetic projection is the sought
-    witness; finding none is flagged as converse tension, since sampling
-    cannot prove the universal hypothesis of the converse direction.
+    universal: every sampled projection pair must be homothetic. When they
+    are not, the check is existential: a non-homothetic projection is the
+    sought witness; finding none is flagged as converse tension, since
+    sampling cannot prove the universal hypothesis of the converse direction.
+
+    A frame counts iff ``detect_homothety`` finds a map. That implies the
+    recheck ``set_equal(Q1, apply_homothety(Q2, shift, ratio))``: it matched
+    the same floats z + ratio * Q2.vertices (rows permuted by the canonical
+    sort) within tol * max(Q1.scale, image.scale) >= tol * Q1.scale, and
+    ``_distances`` takes one exponent over the whole stack, so its distances
+    are the same, columns permuted. The two differ only on an exact distance
+    tie between two image vertices, and on singletons far from the origin,
+    where z + Q2 rounds off Q1 although a point always maps onto a point.
     """
     direct = detect_homothety(P1, P2)
     hulls = extreme_points_many([_shadow(P, frame) for frame in frames for P in (P1, P2)])
@@ -77,10 +79,7 @@ def _projection_sweep(name, P1, P2, frames, seed):
     first_bad = None
     for frame, Q1, Q2 in zip(frames, hulls[::2], hulls[1::2]):
         result = detect_homothety(Q1, Q2)
-        sound = result is not None and set_equal(
-            Q1, apply_homothety(Q2, result.shift, result.ratio)
-        )
-        if sound:
+        if result is not None:
             homothetic_count += 1
         elif first_bad is None:
             first_bad = _projection_record(frame, Q1, Q2, result)
@@ -215,12 +214,10 @@ def verify_diameter_transfer(P1, P2):
         )
     d1 = exposed_diameters(P1)
     pairs2 = {frozenset((e.i, e.j)) for e in exposed_diameters(P2)}
-    # the vertex bijection that detect_homothety found: its largest distance is h.residual
-    match, _ = _match_bijection(P1.vertices, h.shift + h.ratio * P2.vertices, h.residual)
     witnesses = [
         {"unmatched_diameter": [d.x.tolist(), d.z.tolist()]}
         for d in d1
-        if frozenset((match[d.i], match[d.j])) not in pairs2
+        if frozenset((h.match[d.i], h.match[d.j])) not in pairs2
     ]
     return Report(
         check_name="diameter_transfer",

@@ -7,9 +7,11 @@ from homproj import (
     apply_homothety,
     detect_homothety,
     extreme_points,
+    random_frame,
     random_polytope,
     set_equal,
 )
+from homproj.polytope import _distances, _shadow, extreme_points_many
 
 
 def test_apply_homothety_square(square):
@@ -109,3 +111,27 @@ def test_singleton_pair():
     res = detect_homothety(extreme_points([[1.0, 1.0]]), extreme_points([[0.0, 3.0]]))
     assert res.ratio == 1.0
     assert res.shift.tolist() == [1.0, -2.0]
+    assert res.match == (0,)
+
+
+def test_shadow_match_certifies_the_set_level_map():
+    # what a projection sweep counts: the bijection of every detected shadow
+    # pair is a permutation within residual, and implies the set-level check
+    rng = np.random.default_rng(2024)
+    for n in (3, 4, 5):
+        for trial in range(8):
+            P2 = random_polytope(n, 6 + trial, 1000 * n + trial)
+            lam = float(rng.uniform(0.1, 10.0)) * (1 if trial % 2 else -1)
+            P1 = apply_homothety(P2, rng.standard_normal(n), lam)
+            frames = [
+                random_frame(n, m, int(rng.integers(2**32))) for m in range(1, n) for _ in range(12)
+            ]
+            hulls = extreme_points_many([_shadow(P, f) for f in frames for P in (P1, P2)])
+            for Q1, Q2 in zip(hulls[::2], hulls[1::2]):
+                h = detect_homothety(Q1, Q2)
+                assert h is not None
+                assert sorted(h.match) == list(range(Q1.num_vertices))
+                image = h.shift + h.ratio * Q2.vertices[list(h.match)]
+                gaps = _distances(Q1.vertices, image).diagonal()
+                assert gaps.max() <= h.residual
+                assert set_equal(Q1, apply_homothety(Q2, h.shift, h.ratio))

@@ -479,16 +479,16 @@ def test_sweep_hulls_all_shadows_in_one_lp_call(monkeypatch):
     assert len(calls) == 1
 
 
-def _fail_second_set_equal(monkeypatch):
-    """Make the second frame's soundness check fail: a universal fail."""
+def _fail_second_frame(monkeypatch):
+    """Detect no homothety on the second frame (the third call): a universal fail."""
     calls = []
 
-    def second_fails(P1, P2, tol=DEFAULT_TOL):
+    def third_fails(P1, P2, tol=DEFAULT_TOL):
         calls.append(None)
-        return len(calls) != 2 and homothety.set_equal(P1, P2, tol)
+        return None if len(calls) == 3 else homothety.detect_homothety(P1, P2, tol)
 
     for module in (verify, hp):
-        monkeypatch.setattr(module, "set_equal", second_fails)
+        monkeypatch.setattr(module, "detect_homothety", third_fails)
 
 
 def _hide_direct_homothety(monkeypatch):
@@ -508,7 +508,7 @@ FIRST_BAD = ["frame", "projection_1", "projection_2", "homothety"]
 @pytest.mark.parametrize(
     "patch, existential, passes, witness_keys",
     [
-        (_fail_second_set_equal, False, 5, [FIRST_BAD, ["direct_homothety"]]),
+        (_fail_second_frame, False, 5, [FIRST_BAD, ["direct_homothety"]]),
         (_hide_direct_homothety, True, 0, [["converse_tension"]]),
     ],
 )

@@ -117,7 +117,7 @@ def test_parabola_homothety_coefficient_ratio():
     # r2 has coefficient 2; scaling it by lambda = 1/2 gives coefficient ...
     res = parabola_homothety(r1, r2)
     assert res.ratio == pytest.approx(2.0)
-    assert res.residual == 0.0
+    assert res.residual == 0.0 and res.match is None  # regions have no vertices
     same = parabola_homothety(r1, r1)
     assert same.ratio == pytest.approx(1.0)
 

@@ -1,5 +1,6 @@
 """The LP kernel against scipy's solver, plus backend parity."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,10 +102,14 @@ def test_backends_are_bit_identical_on_margin_programs(c_kernel, monkeypatch):
 def test_c_kernel_refuses_a_missing_library_and_bad_shapes(c_kernel, tmp_path):
     with pytest.raises(OSError):
         Kernel(tmp_path)
-    with pytest.raises(ValueError):  # a per-program b is not part of the contract
-        c_kernel.simplex_maximize_batch(np.zeros((2, 3, 4)), np.zeros((2, 3)), np.zeros(4))
-    with pytest.raises(ValueError):
-        c_kernel.simplex_maximize_batch(np.zeros((2, 3, 4)), np.zeros(3), np.zeros(3))
+    bad = [
+        (np.ones((2, 2, 2)), [[1, 1], [2, 2]], np.ones(2)),  # a per-program b
+        (np.zeros((2, 3, 4)), np.zeros(3), np.zeros(3)),  # c of the wrong length
+        (np.zeros((3, 4)), np.zeros(3), np.zeros(4)),  # no batch axis
+    ]
+    for kernel, (A, b, c) in itertools.product((_simplex_py, c_kernel), bad):
+        with pytest.raises(ValueError):
+            kernel.simplex_maximize_batch(A, b, c)
 
 
 def test_margin_direction_separates_box_corner():

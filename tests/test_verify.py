@@ -43,6 +43,14 @@ def test_theorem1_bad_dims(cube):
         verify_theorem1(cube, cube, 3, 10, 0)  # m = n
 
 
+def test_theorem1_on_singletons_far_from_the_origin():
+    # z + Q2 rounds off Q1 by more than tol here; a point still maps onto a point
+    P1 = extreme_points([[1e8 + 0.3, 3.7e8, 1.1]])
+    P2 = extreme_points([[-2.9e8, 1.3, 5e7 + 0.1]])
+    report = verify_theorem1(P1, P2, 2, 5, 0)
+    assert (report.verdict, report.passes) == ("pass", 5)
+
+
 def test_corollary1_forward():
     P = random_polytope(4, 10, 1)
     P2 = apply_homothety(P, np.array([0.5, -1.0, 2.0, 0.0]), 3.0)
