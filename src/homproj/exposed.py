@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
 from .lp import margin_direction, margin_directions
-from .polytope import REL_TOL, others_index, support
+from .polytope import REL_TOL, _support_rows, others_index
 
 PERTURB_RETRIES = 64
 
@@ -22,8 +22,8 @@ PERTURB_RETRIES = 64
 class ExposedDiameter:
     """Antipodally exposed vertex pair x = P.vertices[i], z = P.vertices[j].
 
-    support(P, witness) is the singleton {x} with gap margin_max, and
-    support(P, -witness) is the singleton {z} with gap margin_min.
+    The support faces of witness and -witness are the lone vertices x and z,
+    with gaps margin_max and margin_min above REL_TOL * P.scale.
     """
 
     x: np.ndarray
@@ -53,18 +53,21 @@ def is_exposed(P, v):
     return delta > REL_TOL * P.scale, u, delta
 
 
-def _is_strict(res, P):
-    """Whether a support result on P is one vertex with a gap above REL_TOL * scale."""
-    return len(res.face) == 1 and res.margin > REL_TOL * P.scale
+def _strict_faces(P, U):
+    """Per row of U: its lone face vertex, None unless its gap > REL_TOL * scale; the gaps."""
+    _, on_face, margin = _support_rows(P, U)
+    tol, margin = REL_TOL * P.scale, margin.tolist()
+    faces = zip(on_face.tolist(), margin)
+    return [f.index(True) if f.count(True) == 1 and m > tol else None for f, m in faces], margin
 
 
-def _diameter_at(P, u):
-    """The exposed diameter with witness u, or None unless both faces are strict."""
-    hi, lo = support(P, u), support(P, -u)
-    if not (_is_strict(hi, P) and _is_strict(lo, P)):
-        return None
-    i, j = hi.face[0], lo.face[0]
-    return ExposedDiameter(P.vertices[i], P.vertices[j], i, j, u, hi.margin, lo.margin)
+def _diameters_at(P, U):
+    """Per row u of U, the exposed diameter with witness u or None: one support call on [U; -U]."""
+    rows, margin = _strict_faces(P, np.concatenate([U, -U]))
+    return [  # zip stops at the end of U: i, hi of u and j, lo of -u
+        None if None in (i, j) else ExposedDiameter(P.vertices[i], P.vertices[j], i, j, u, hi, lo)
+        for u, i, j, hi, lo in zip(U, rows, rows[len(U):], margin, margin[len(U):])
+    ]
 
 
 def _perturbation_search(dim, f, eps, seed, accept):
@@ -106,8 +109,8 @@ def exposed_point_near(P, f, eps, seed=0):
     """
 
     def accept(g):
-        res = support(P, g)
-        return (P.vertices[res.face[0]], g) if _is_strict(res, P) else None
+        (i,), _ = _strict_faces(P, g[None])
+        return None if i is None else (P.vertices[i], g)
 
     return _perturbation_search(P.dim, f, eps, seed, accept)
 
@@ -122,34 +125,29 @@ def exposed_diameter_near(P, f, eps, seed=0):
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
-    return _perturbation_search(P.dim, f, eps, seed, lambda g: _diameter_at(P, g))
+    return _perturbation_search(P.dim, f, eps, seed, lambda g: _diameters_at(P, g[None])[0])
 
 
 def exposed_diameters(P):
     """All exposed diameters, one per unordered vertex pair that admits one.
 
-    For each pair (v, w) the LP maximizes the joint margin delta subject to
-    u.(v - x) >= delta for x != v and u.(y - w) >= delta for y != w over the
-    |u|_inf <= 1 box; the pair qualifies iff delta > REL_TOL * scale and
-    ``_diameter_at`` finds the same pair at u / |u|.
+    For each pair (v, w) the LP maximizes delta s.t. u.(v - x) >= delta for x != v,
+    u.(y - w) >= delta for y != w and |u|_inf <= 1; the pair qualifies iff delta >
+    REL_TOL * scale and one ``_diameters_at`` call over all such u / |u| finds it.
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
-    V = P.vertices
-    k = V.shape[0]
-    tol = REL_TOL * P.scale
+    V, k = P.vertices, P.num_vertices
     # all k(k-1)/2 pair programs in one batch, pairs in (i, j) row-major order
     others = V[others_index(k)]
     max_rows = V[:, None, :] - others
     min_rows = others - V[:, None, :]
     I, J = np.triu_indices(k, 1)
     deltas, us = margin_directions(np.concatenate([max_rows[I], min_rows[J]], axis=1))
-    out = []
-    for i, j, delta, u in zip(I.tolist(), J.tolist(), deltas, us):
-        d = _diameter_at(P, u / np.linalg.norm(u)) if delta > tol else None
-        if d is not None and (d.i, d.j) == (i, j):
-            out.append(d)
-    return out
+    keep = deltas > REL_TOL * P.scale
+    U, pairs = us[keep], zip(I[keep].tolist(), J[keep].tolist())
+    found = _diameters_at(P, U / np.sqrt(np.matmul(U[:, None, :], U[:, :, None]))[:, 0])
+    return [d for d, ij in zip(found, pairs) if d is not None and (d.i, d.j) == ij]
 
 
 def antipodally_exposed_points(P):

@@ -10,7 +10,6 @@ machine epsilon; past that, a translation rounds away the very differences
 the predicates compare, which no tolerance can restore.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -180,34 +179,37 @@ def extreme_points_many(stack):
     return [Polytope(_canonical_sort(V, scale)) for V, scale in zip(sets, scales)]
 
 
-def support(P, u):
-    """Support function value of P at a finite nonzero u, with the attaining face.
+def _support_rows(P, U):
+    """(value, face mask, margin) of P at each finite nonzero row u of U.
 
-    face holds the argmax vertex indices within REL_TOL * scale * |u|; margin is
-    the gap to the best vertex outside the face (inf when there is none).
+    The face is the vertices within REL_TOL * scale * |u| of the max, the margin the
+    gap to the best vertex off it (inf if none). Each row is solved at u / 2^e with
+    max|u / 2^e| in [0.5, 1), and value and margin are multiplied back (inf past range).
+    Stacked matmuls give each row the bits of its own V @ u and |u|; gemm U @ V.T does not.
     """
+    big = np.abs(U).max(axis=1)  # nan if the row holds one
+    if not all(0.0 < b < np.inf for b in big.tolist()):
+        raise ZeroDirection("support direction must be nonzero and finite")
+    _, e = np.frexp(big)
+    U = np.ldexp(U, -e[:, None])
+    norm_u = np.sqrt(np.matmul(U[:, None, :], U[:, :, None]))[:, 0, 0]
+    vals = np.matmul(P.vertices, U[:, :, None])[:, :, 0]
+    best = vals.max(axis=1)
+    on_face = vals >= (best - REL_TOL * P.scale * norm_u)[:, None]
+    margin = best - vals.max(axis=1, where=~on_face, initial=-np.inf)
+    if max(big.tolist(), default=0.0) < 1.0:  # 2^e <= 1: value and margin only shrink back
+        return np.ldexp(best, e), on_face, np.ldexp(margin, e)
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        return np.ldexp(best, e), on_face, np.ldexp(margin, e)
+
+
+def support(P, u):
+    """Support value, face and margin of P at a finite nonzero u; one row of ``_support_rows``."""
     u = np.asarray(u, dtype=float)
     if u.shape != (P.dim,):
         raise DimensionMismatch(f"direction length {u.shape} vs dim {P.dim}")
-    big = max(map(abs, u.tolist()))  # may step over a nan; the norm below does not
-    if 0.0 < big < math.inf and not 2.0**-500 < big < 2.0**500:
-        # |u| could over- or underflow: solve at u / 2^e, max|u / 2^e| in [0.5, 1)
-        e = math.frexp(big)[1]
-        res = support(P, np.ldexp(u, -e))
-        with np.errstate(over="ignore"):  # a value past the float range is inf
-            value, margin = np.ldexp([res.value, res.margin], e).tolist()
-        return SupportResult(value=value, face=res.face, margin=margin)
-    norm_u = float(np.linalg.norm(u))  # in range, unless u is 0 or not finite
-    if not 0.0 < norm_u < math.inf:
-        raise ZeroDirection("support direction must be nonzero and finite")
-    vals = P.vertices @ u
-    best = float(vals.max())
-    tol = REL_TOL * P.scale * norm_u
-    on_face = vals >= best - tol
-    face = tuple(int(i) for i in np.flatnonzero(on_face))
-    off = vals[~on_face]
-    margin = float(best - off.max()) if off.size else math.inf
-    return SupportResult(value=best, face=face, margin=margin)
+    value, on_face, margin = _support_rows(P, u[None])
+    return SupportResult(value.item(), tuple(np.flatnonzero(on_face).tolist()), margin.item())
 
 
 def negate(P):

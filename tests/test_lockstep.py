@@ -236,6 +236,17 @@ def _scalar_extreme_points(points):
     return _canonical_sort(V, scale)
 
 
+def _scalar_support(P, u):
+    """Frozen copy of the per-direction ``support`` as (value, face, margin)."""
+    norm_u = float(np.linalg.norm(u))
+    vals = P.vertices @ u
+    best = float(vals.max())
+    on_face = vals >= best - 1e-9 * P.scale * norm_u
+    off = vals[~on_face]
+    margin = float(best - off.max()) if off.size else float("inf")
+    return best, tuple(int(i) for i in np.flatnonzero(on_face)), margin
+
+
 def _scalar_exposed_diameters(P):
     """The seed's ``exposed_diameters`` as (i, j, witness, margins) tuples."""
     V = P.vertices
@@ -250,11 +261,11 @@ def _scalar_exposed_diameters(P):
             if delta <= tol:
                 continue
             u = u / np.linalg.norm(u)
-            hi = hp.support(P, u)
-            lo = hp.support(P, -u)
-            if hi.face != (i,) or lo.face != (j,):
+            _, hi_face, hi_margin = _scalar_support(P, u)
+            _, lo_face, lo_margin = _scalar_support(P, -u)
+            if hi_face != (i,) or lo_face != (j,):
                 continue
-            out.append((V[i], V[j], u, hi.margin, lo.margin))
+            out.append((V[i], V[j], u, hi_margin, lo_margin))
     return out
 
 
@@ -380,6 +391,27 @@ def test_many_hulls_make_one_lp_call_per_kept_count(monkeypatch):
     hp.extreme_points_many(stack)
     assert len(calls) == len(set(batched)) > 1
     assert sum(calls) == sum(batched)
+
+
+def test_exposed_diameters_read_all_faces_in_one_support_call(monkeypatch):
+    calls = []
+    rows = hp.exposed._support_rows
+
+    def counted(P, U):
+        calls.append(len(U))
+        return rows(P, U)
+
+    def refused(P, u):
+        raise AssertionError("exposed_diameters called support")
+
+    monkeypatch.setattr(hp.exposed, "_support_rows", counted)
+    monkeypatch.setattr(hp.polytope, "support", refused)
+    monkeypatch.setattr(hp, "support", refused)
+    for P in _corpus_1_2():
+        calls.clear()
+        found = hp.exposed_diameters(P)
+        assert len(calls) == 1
+        assert calls[0] % 2 == 0 and calls[0] >= 2 * len(found) > 0
 
 
 def _dedupe_reference(points):

@@ -23,6 +23,7 @@ from homproj import (
     set_equal,
     support,
 )
+from homproj.polytope import _support_rows
 
 
 def test_interior_point_dropped():
@@ -139,6 +140,30 @@ def test_support_direction_with_extreme_norm(square):
                 assert big.face == res.face
                 assert big.value == np.ldexp(res.value, k)
                 assert big.margin == np.ldexp(res.margin, k)
+
+
+def test_support_rows_match_the_plain_rule_row_by_row():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4):
+        P = random_polytope(n, 9, n)
+        for count in (0, 1, 60):
+            U = rng.standard_normal((count, n))
+            U = np.concatenate([U, -U])
+            value, on_face, margin = _support_rows(P, U)
+            for u, v, face, m in zip(U, value, on_face, margin):
+                ref_v, ref_face, ref_m = _plain_support(P, u)
+                assert tuple(np.flatnonzero(face).tolist()) == ref_face
+                assert np.array([v, m]).tobytes() == np.array([ref_v, ref_m]).tobytes()
+            # a power of two moves every norm out of range but keeps the faces
+            for k in (1000, -1000):
+                big_value, big_face, big_margin = _support_rows(P, np.ldexp(U, k))
+                assert np.array_equal(big_face, on_face)
+                assert big_value.tobytes() == np.ldexp(value, k).tobytes()
+                assert big_margin.tobytes() == np.ldexp(margin, k).tobytes()
+        # one zero or non-finite row fails the whole stack
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(ZeroDirection):
+                _support_rows(P, np.vstack([U, np.full(n, bad)]))
 
 
 def test_negate(square):

@@ -10,6 +10,7 @@ from homproj import (
     detect_homothety,
     extreme_points,
     set_equal,
+    support,
     verify_diameter_transfer,
     verify_no_parallel_diameters,
     verify_theorem2,
@@ -56,6 +57,16 @@ def test_homothetic_pair_at_extreme_scales(name, s):
 
 def test_near_edge_point_is_a_vertex():
     assert extreme_points(NEAR_EDGE).num_vertices == 4
+
+
+def test_support_face_where_v_dot_u_overflows():
+    # V @ u is inf on the last three vertices, which ties them; at u / 2^e it
+    # is finite and (3, 1) alone attains, by a gap that is past the range too
+    P = extreme_points(1e300 * np.array([[0, 0], [1, 0], [0, 1], [2, 3], [3, 1]]))
+    res = support(P, [1e10, 1.0])
+    assert P.vertices[4].tolist() == [3e300, 1e300]
+    assert res.face == (4,)
+    assert res.value == res.margin == np.inf
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
