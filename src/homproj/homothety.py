@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTolerance, DimensionMismatch, ZeroLambda
-from .polytope import Polytope, _canonical_sort, _distances, _scale
+from .polytope import REL_TOL, Polytope, _bounded, _canonical_sort, _distances, _scale
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = REL_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,18 +26,14 @@ class HomothetyResult:
 
 
 def apply_homothety(P, z, ratio):
-    """Image of P under x -> z + ratio * x (vertex count is preserved)."""
+    """Image of P under x -> z + ratio * x (vertex count kept); ValueError past ``_bounded``."""
     z = np.asarray(z, dtype=float)
     if ratio == 0.0:
         raise ZeroLambda("homothety ratio must be nonzero")
     if z.shape != (P.dim,):
         raise DimensionMismatch(f"shift length {z.shape} vs dim {P.dim}")
-    if not all(map(math.isfinite, [ratio, *z.tolist()])):
-        raise ValueError("homothety ratio and shift must be finite")
-    with np.errstate(over="ignore"):  # an image past the float range is caught below
-        V = z + ratio * P.vertices
-    if not np.isfinite(V).all():
-        raise ValueError("homothety image has non-finite coordinates")
+    with np.errstate(all="ignore"):  # a non-finite ratio or shift, or an overflow, fails _bounded
+        V = _bounded(z + ratio * P.vertices)
     return Polytope(_canonical_sort(V, _scale(abs(ratio) * P.diameter)))
 
 
@@ -79,9 +75,9 @@ def set_equal(P1, P2, tol=DEFAULT_TOL):
 def detect_homothety(P1, P2, tol=DEFAULT_TOL):
     """Find (z, lambda) with P1 = z + lambda * P2, or None.
 
-    |lambda| is fixed by the diameter ratio and the translation by the vertex
-    centroids (both are homothety covariant); the positive sign is tried
-    first, so centrally symmetric pairs deterministically report lambda > 0.
+    |lambda| is fixed by the diameter ratio (None if it is 0 or inf: no float lambda exists)
+    and the translation by the vertex centroids (both are homothety covariant); the positive
+    sign is tried first, so centrally symmetric pairs deterministically report lambda > 0.
     """
     if P1.dim != P2.dim:
         raise DimensionMismatch(f"dims {P1.dim} vs {P2.dim}")
@@ -93,6 +89,8 @@ def detect_homothety(P1, P2, tol=DEFAULT_TOL):
         z = P1.vertices[0] - P2.vertices[0]
         return HomothetyResult(shift=z, ratio=1.0, residual=0.0, match=(0,))
     ratio_abs = P1.diameter / P2.diameter
+    if not 0.0 < ratio_abs < math.inf:
+        return None
     c1 = P1.vertices.mean(axis=0)
     c2 = P2.vertices.mean(axis=0)
     for ratio in (ratio_abs, -ratio_abs):

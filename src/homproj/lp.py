@@ -4,10 +4,8 @@ Every geometric predicate in the package reduces to one LP shape: find the
 direction u, |u|_inf <= 1, maximizing the smallest dot product u . d over a
 given list of difference vectors d. A strictly positive optimum certifies
 strict separation (extreme point, exposed vertex, exposed diameter). Each
-program is rescaled by a power of two until max|d| lies in [0.5, 1), and
-pivots with the kernel's fixed tolerance ``_simplex_py.PIVOT_TOL``.
-Power-of-two scaling is exact (the idea of Curtis & Reid, 1972), so a
-verdict does not depend on the scale of the d.
+program is solved at its ``_binade`` scale with the kernel's fixed pivot
+tolerance ``_simplex_py.PIVOT_TOL``.
 
 Callers that need many such programs at once (all k LPs of one hull, all
 pair LPs of one diameter enumeration) pass them together to
@@ -38,6 +36,15 @@ else:
         _kernel, BACKEND = _simplex_py, "python"
 
 
+def _binade(X, axis):
+    """(X / 2^e, e), 2^e putting max|X| over ``axis`` in [0.5, 1) (e = 0 if all zero; axes kept).
+
+    A power of two is exact (Curtis & Reid, 1972): results at X / 2^e scale back bit for bit.
+    """
+    _, e = np.frexp(np.abs(X).max(axis=axis, initial=0.0, keepdims=True))
+    return np.ldexp(X, -e), e
+
+
 def margin_direction(dirs):
     """Best uniform separation margin over the unit-inf-norm direction box.
 
@@ -56,16 +63,13 @@ def margin_directions(Ds):
 
     Ds is (B, m, n); returns (delta[B], u[B, n]). The B margin programs are
     assembled in one array and solved in one kernel call; each result
-    equals, bit for bit, that of its own ``margin_direction`` call. Each
-    program is divided by the power of two 2^e that puts its max|D| in
-    [0.5, 1) and its delta multiplied back by 2^e.
+    equals, bit for bit, that of its own ``margin_direction`` call.
     """
     Ds = np.asarray(Ds, dtype=float)
     if Ds.ndim != 3 or Ds.shape[1] == 0 or Ds.shape[2] == 0:
         raise ValueError("margin_direction needs at least one direction")
+    Ds, e = _binade(Ds, (1, 2))
     B, m, n = Ds.shape
-    _, e = np.frexp(np.abs(Ds).max(axis=(1, 2)))
-    Ds = np.ldexp(Ds, -e[:, None, None])
     # variables: u+ (n), u- (n), delta; u = u+ - u-
     nv = 2 * n + 1
     A = np.zeros((B, m + 2 * n, nv))
@@ -80,4 +84,4 @@ def margin_directions(Ds):
     status, obj, x = _kernel.simplex_maximize_batch(A, b, c)
     if np.any(status != OPTIMAL):
         raise RuntimeError("separation LP unbounded; inputs are not finite")
-    return np.ldexp(obj, e), x[:, :n] - x[:, n : 2 * n]
+    return np.ldexp(obj, e[:, 0, 0]), x[:, :n] - x[:, n : 2 * n]

@@ -98,19 +98,16 @@ def project_paraboloid(spec, frame):
 def parabola_homothety(r1, r2):
     """Homothety r1 = z + lambda * r2 between shadows of a shared frame.
 
-    Any two parabola regions with parallel axes are positively homothetic:
-    lambda is the quadratic-coefficient ratio and z maps vertex to vertex.
+    Parabola regions with equal unit axes (opposite ones, 2 apart, never occur on one frame)
+    are positively homothetic: lambda is the quadratic-coefficient ratio, z maps vertex to vertex.
     """
     if r1.full_plane != r2.full_plane:
         raise MixedVariants("cannot relate a full plane to a parabola region")
     if r1.full_plane:
         return HomothetyResult(shift=np.zeros(2), ratio=1.0, residual=0.0)
-    if abs(float(r1.axis @ r2.axis)) < 1.0 - AXIS_TOL:
-        raise MixedVariants("parabola axes are not parallel")
+    if math.hypot(*(r1.axis - r2.axis)) > AXIS_TOL:
+        raise MixedVariants("parabola axes do not point the same way")
     ratio = r2.quad_coeff / r1.quad_coeff
-    if float(r1.axis @ r2.axis) < 0.0:
-        # opposite axis orientation cannot occur for shadows on a shared frame
-        raise MixedVariants("parabola axes point in opposite directions")
     z = r1.vertex - ratio * r2.vertex
     return HomothetyResult(shift=z, ratio=float(ratio), residual=0.0)
 

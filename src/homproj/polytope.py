@@ -2,9 +2,9 @@
 
 A Polytope stores exactly the extreme points of its convex hull, sorted
 lexicographically (on a REL_TOL * scale grid so near-ties order stably). All
-predicates compare gaps with REL_TOL * scale, where ``_scale`` alone sets
-scale = diameter (1 for a singleton) and ``_distances`` alone measures point
-distances. So the predicates are scale-invariant. They are
+predicates compare gaps with REL_TOL * scale: ``_scale`` alone sets scale =
+diameter (1 for a singleton), ``_distances`` alone measures distances and
+``_bounded`` alone admits coordinates. So they are scale-invariant, and
 translation-invariant only while diameter / max|coordinate| stays well above
 machine epsilon; past that, a translation rounds away the very differences
 the predicates compare, which no tolerance can restore.
@@ -16,14 +16,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadDims, DimensionMismatch, EmptyInput, ZeroDirection
-from .lp import margin_directions
+from .lp import _binade, margin_directions
 
 REL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """Extreme points (rows, canonical order) of a compact convex set."""
+    """Extreme points (rows, canonical order) of a compact convex set; trusted if built directly."""
 
     vertices: np.ndarray
 
@@ -65,21 +65,25 @@ def _scale(diameter):
     return diameter if diameter > 0.0 else 1.0
 
 
+def _bounded(V):
+    """V if max|x| < 2^1022 / dim, else ValueError (nan and inf too): the one coordinate range.
+
+    Inside it differences stay below 2^1023 / dim, distances and LP deltas below 2^1023, and
+    V @ (u / 2^e) below 2^1022 for max|u / 2^e| < 1.
+    """
+    if not np.abs(V).max(initial=0.0) < 2.0**1022 / V.shape[-1]:
+        raise ValueError("non-finite coordinates or max|x| >= 2^1022 / dim")
+    return V
+
+
 def _distances(V, W=None):
     """(..., len V, len W) distances between the rows of V and W (or V).
 
     V and W may carry leading stack axes; each stack entry is measured on
-    its own. Its differences are divided by the power of two 2^e that puts
-    their max|.| in [0.5, 1) before they are squared, so the largest square
-    neither under- nor overflows; 2^e is exact and commutes with squaring,
-    summing and sqrt, so normal-range bits do not depend on it or on the
-    other entries of the stack.
+    its own ``_binade`` scale, so its bits do not depend on the others.
     """
     W = V if W is None else W
-    diff = V[..., :, None, :] - W[..., None, :, :]
-    big = np.abs(diff).max(axis=(-3, -2, -1), initial=0.0, keepdims=True)
-    e = np.frexp(big)[1]
-    diff = np.ldexp(diff, -e)
+    diff, e = _binade(V[..., :, None, :] - W[..., None, :, :], (-3, -2, -1))
     return np.ldexp(np.sqrt((diff * diff).sum(axis=-1)), e[..., 0])
 
 
@@ -149,8 +153,7 @@ def extreme_points_many(stack):
     for P in sets:
         if P.ndim != 2:
             raise DimensionMismatch("points do not share a common length")
-        if not np.all(np.isfinite(P)):
-            raise ValueError("non-finite coordinates")
+        _bounded(P)
 
     # drop near-duplicates (the first one stays) so a duplicated extreme point survives
     scales = [0.0] * len(sets)
@@ -183,15 +186,14 @@ def _support_rows(P, U):
     """(value, face mask, margin) of P at each finite nonzero row u of U.
 
     The face is the vertices within REL_TOL * scale * |u| of the max, the margin the
-    gap to the best vertex off it (inf if none). Each row is solved at u / 2^e with
-    max|u / 2^e| in [0.5, 1), and value and margin are multiplied back (inf past range).
+    gap to the best vertex off it (inf if none), each row at its ``_binade`` scale (inf past range).
     Stacked matmuls give each row the bits of its own V @ u and |u|; gemm U @ V.T does not.
     """
     big = np.abs(U).max(axis=1)  # nan if the row holds one
     if not all(0.0 < b < np.inf for b in big.tolist()):
         raise ZeroDirection("support direction must be nonzero and finite")
-    _, e = np.frexp(big)
-    U = np.ldexp(U, -e[:, None])
+    U, e = _binade(U, 1)
+    e = e[:, 0]
     norm_u = np.sqrt(np.matmul(U[:, None, :], U[:, :, None]))[:, 0, 0]
     vals = np.matmul(P.vertices, U[:, :, None])[:, :, 0]
     best = vals.max(axis=1)

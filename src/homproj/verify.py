@@ -243,10 +243,8 @@ def verify_example1(samples, seed):
     passes = 0
     witnesses = []
     for frame in frames:
-        r1 = project_paraboloid(s1, frame)
-        r2 = project_paraboloid(s2, frame)
-        h = parabola_homothety(r1, r2)
-        if h is not None and h.ratio > 0.0:
+        h = parabola_homothety(project_paraboloid(s1, frame), project_paraboloid(s2, frame))
+        if h.ratio > 0.0:
             passes += 1
         else:
             witnesses.append({"frame": frame.basis.tolist()})

@@ -11,7 +11,12 @@ from homproj import (
     random_polytope,
     set_equal,
 )
-from homproj.polytope import _distances, _shadow, extreme_points_many
+from homproj.homothety import DEFAULT_TOL
+from homproj.polytope import REL_TOL, _distances, _shadow, extreme_points_many
+
+
+def test_default_tolerance_is_the_polytope_tolerance():
+    assert DEFAULT_TOL is REL_TOL
 
 
 def test_apply_homothety_square(square):

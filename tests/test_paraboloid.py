@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from homproj import (
     BadDims,
     MixedVariants,
+    ParabolaRegion,
     ParaboloidSpec,
     orthonormalize,
     parabola_homothety,
@@ -131,6 +134,18 @@ def test_parabola_homothety_full_plane_and_mixed():
     assert res.ratio == 1.0
     with pytest.raises(MixedVariants):
         parabola_homothety(full, parab)
+
+
+@pytest.mark.parametrize("angle", [1e-6, 4e-5, math.pi / 2, math.pi])
+def test_parabola_homothety_needs_equal_axes(angle):
+    # 1 - cos(angle) cancels below ~4.5e-5 rad; |a1 - a2| does not
+    def region(a):
+        axis = np.array([math.cos(a), math.sin(a)])
+        return ParabolaRegion(full_plane=False, axis=axis, vertex=np.zeros(2), quad_coeff=1.0)
+
+    assert parabola_homothety(region(angle), region(angle)).ratio == 1.0
+    with pytest.raises(MixedVariants):
+        parabola_homothety(region(0.0), region(angle))
 
 
 def test_parabola_homothety_scaling_identity():

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homproj import (
+    apply_homothety,
     detect_homothety,
     extreme_points,
+    minkowski_sum,
     set_equal,
     support,
     verify_diameter_transfer,
     verify_no_parallel_diameters,
     verify_theorem2,
 )
+from homproj.lp import _binade
 
 
 # A triangle of diameter 0.01 and a fourth point 4e-9 * diameter outside the
@@ -67,6 +70,82 @@ def test_support_face_where_v_dot_u_overflows():
     assert P.vertices[4].tolist() == [3e300, 1e300]
     assert res.face == (4,)
     assert res.value == res.margin == np.inf
+
+
+# Coordinates are admitted while max|x| < 2^1022 / dim: 2^1021 in the plane.
+PLANE_BOUND = 2.0**1021
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # the diameter overflowed, scale became inf and the hull kept 1 of 4 vertices
+        [[1.5e308, 1.5e308], [1.5e308, 1.4e308], [0, 0], [1.4e308, 0]],
+        # V @ u overflowed, so support at (0.9, 0.9) tied all three vertices
+        [[1.2e308, 1.2e308], [1.2e308, 1.1e308], [1.1e308, 1.2e308]],
+        [[0.0, 0.0], [PLANE_BOUND, 0.0]],
+        [[0.0, 0.0], [0.0, -PLANE_BOUND]],
+    ],
+)
+def test_points_past_the_coordinate_bound_raise(points):
+    with pytest.raises(ValueError, match="non-finite"):
+        extreme_points(points)
+
+
+def test_minkowski_sum_past_the_bound_raises():
+    s = 0.75 * PLANE_BOUND
+    P = extreme_points([[0.0, 0.0], [s, 0.0], [0.0, s]])
+    assert P.num_vertices == 3
+    with pytest.raises(ValueError, match="non-finite"):
+        minkowski_sum(P, P)
+
+
+def test_apply_homothety_past_the_bound_raises():
+    square = extreme_points([[0, 0], [1, 0], [0, 1], [1, 1]])
+    assert apply_homothety(square, [0.0, 0.0], 0.5 * PLANE_BOUND).num_vertices == 4
+    for ratio in (PLANE_BOUND, 1e308):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_homothety(square, [0.0, 0.0], ratio)
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_homothety(square, [PLANE_BOUND, 0.0], 1.0)
+
+
+def test_set_just_inside_the_bound_keeps_every_vertex():
+    s = np.nextafter(PLANE_BOUND, 0.0)
+    P = extreme_points(s * np.array([[1.0, 1.0], [1.0, 0.9], [0.9, 1.0], [-1.0, -1.0]]))
+    assert P.num_vertices == 4 and 0.0 < P.diameter < np.inf
+    assert P.vertices[3].tolist() == [s, s]
+    res = support(P, [0.9, 0.9])
+    assert res.face == (3,) and 0.0 < res.margin < res.value < np.inf
+
+
+def test_detect_homothety_with_a_ratio_past_the_float_range_is_none():
+    # lambda = 2e600 and 5e-601 are not floats
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    big, small = extreme_points(2e300 * square), extreme_points(1e-300 * square)
+    assert detect_homothety(big, small) is None
+    assert detect_homothety(small, big) is None
+
+
+@pytest.mark.parametrize("axis", [1, (1, 2), (-3, -2, -1)])
+def test_binade_contract(axis):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 3, 4, 2)) * np.ldexp(1.0, rng.integers(-1070, 1020, (6, 1, 1, 1)))
+    X[2] = 0.0
+    X[4, 1] = 0.0
+    Y, e = _binade(X, axis)
+    assert e.shape == np.abs(X).max(axis=axis, keepdims=True).shape
+    assert np.array_equal(np.ldexp(Y, e), X)
+    big = np.broadcast_to(np.abs(Y).max(axis=axis, keepdims=True), e.shape)
+    zero = np.broadcast_to(np.abs(X).max(axis=axis, keepdims=True) == 0.0, e.shape)
+    assert zero.any() and (~zero).any()
+    assert np.all(e[zero] == 0) and np.all(big[zero] == 0.0)
+    assert np.all((0.5 <= big[~zero]) & (big[~zero] < 1.0))
+
+
+def test_binade_of_empty_slices_is_zero():
+    Y, e = _binade(np.zeros((2, 0)), 1)
+    assert Y.shape == (2, 0) and e.tolist() == [[0], [0]]
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
