@@ -57,5 +57,5 @@ class MissingField(FormatError):
     """A required field is absent from an input document."""
 
 
-class BadNumber(FormatError):
-    """A numeric field is not a finite number."""
+class BadNumber(FormatError, ValueError):
+    """A number is not finite, or points leave the coordinate range (read or computed)."""

@@ -45,7 +45,9 @@ def is_exposed(P, v):
         raise NotAVertex(f"{v.tolist()} is not a vertex of the polytope")
     i = int(hits[0])
     if P.num_vertices == 1:
-        return True, np.eye(P.dim)[0], math.inf
+        u = np.zeros(P.dim)
+        u[0] = 1.0
+        return True, u, math.inf
     others = np.delete(P.vertices, i, axis=0)
     delta, u = margin_direction(P.vertices[i] - others)
     return delta > REL_TOL * P.scale, u, delta

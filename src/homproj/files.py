@@ -84,10 +84,7 @@ def polytope_from_text(text):
     V = _matrix(doc, "vertices")
     if V.shape[1] != dim:
         raise FormatError(f"vertices have length {V.shape[1]}, dim says {dim}")
-    try:
-        P = extreme_points(V)
-    except ValueError as exc:
-        raise BadNumber(str(exc)) from exc
+    P = extreme_points(V)
     return P, V.shape[0] - P.num_vertices
 
 

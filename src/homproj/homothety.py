@@ -26,7 +26,7 @@ class HomothetyResult:
 
 
 def apply_homothety(P, z, ratio):
-    """Image of P under x -> z + ratio * x (vertex count kept); ValueError past ``_bounded``."""
+    """Image of P under x -> z + ratio * x (vertex count kept); BadNumber past ``_bounded``."""
     z = np.asarray(z, dtype=float)
     if ratio == 0.0:
         raise ZeroLambda("homothety ratio must be nonzero")

@@ -37,12 +37,13 @@ else:
 
 
 def _binade(X, axis):
-    """(X / 2^e, e), 2^e putting max|X| over ``axis`` in [0.5, 1) (e = 0 if all zero; axes kept).
+    """(X / 2^e, e, m), 2^e putting m = max|X / 2^e| over ``axis`` in [0.5, 1) (axes kept).
 
+    An all-zero slice has e = m = 0, one holding nan or inf has e = 0 and m nan or inf.
     A power of two is exact (Curtis & Reid, 1972): results at X / 2^e scale back bit for bit.
     """
-    _, e = np.frexp(np.abs(X).max(axis=axis, initial=0.0, keepdims=True))
-    return np.ldexp(X, -e), e
+    m, e = np.frexp(np.abs(X).max(axis=axis, initial=0.0, keepdims=True))
+    return np.ldexp(X, -e), e, m
 
 
 def margin_direction(dirs):
@@ -68,7 +69,7 @@ def margin_directions(Ds):
     Ds = np.asarray(Ds, dtype=float)
     if Ds.ndim != 3 or Ds.shape[1] == 0 or Ds.shape[2] == 0:
         raise ValueError("margin_direction needs at least one direction")
-    Ds, e = _binade(Ds, (1, 2))
+    Ds, e, _ = _binade(Ds, (1, 2))
     B, m, n = Ds.shape
     # variables: u+ (n), u- (n), delta; u = u+ - u-
     nv = 2 * n + 1

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadDims, DimensionMismatch, EmptyInput, ZeroDirection
+from .errors import BadDims, BadNumber, DimensionMismatch, EmptyInput, ZeroDirection
 from .lp import _binade, margin_directions
 
 REL_TOL = 1e-9
@@ -66,13 +66,13 @@ def _scale(diameter):
 
 
 def _bounded(V):
-    """V if max|x| < 2^1022 / dim, else ValueError (nan and inf too): the one coordinate range.
+    """V if each row has |x|_2 < 2^1022 / sqrt(dim), else BadNumber (nan and inf too).
 
-    Inside it differences stay below 2^1023 / dim, distances and LP deltas below 2^1023, and
-    V @ (u / 2^e) below 2^1022 for max|u / 2^e| < 1.
+    The one coordinate range: orthogonal projection keeps it, and inside it differences,
+    distances, LP deltas and V @ (u / 2^e) stay below 2^1023. V / 2^1022 is exact for |x| >= 1.
     """
-    if not np.abs(V).max(initial=0.0) < 2.0**1022 / V.shape[-1]:
-        raise ValueError("non-finite coordinates or max|x| >= 2^1022 / dim")
+    if not np.square(V * 2.0**-1022).sum(axis=-1).max(initial=0.0) * V.shape[-1] < 1.0:
+        raise BadNumber("non-finite coordinates or |x|_2 >= 2^1022 / sqrt(dim)")
     return V
 
 
@@ -83,7 +83,7 @@ def _distances(V, W=None):
     its own ``_binade`` scale, so its bits do not depend on the others.
     """
     W = V if W is None else W
-    diff, e = _binade(V[..., :, None, :] - W[..., None, :, :], (-3, -2, -1))
+    diff, e, _ = _binade(V[..., :, None, :] - W[..., None, :, :], (-3, -2, -1))
     return np.ldexp(np.sqrt((diff * diff).sum(axis=-1)), e[..., 0])
 
 
@@ -189,17 +189,16 @@ def _support_rows(P, U):
     gap to the best vertex off it (inf if none), each row at its ``_binade`` scale (inf past range).
     Stacked matmuls give each row the bits of its own V @ u and |u|; gemm U @ V.T does not.
     """
-    big = np.abs(U).max(axis=1)  # nan if the row holds one
-    if not all(0.0 < b < np.inf for b in big.tolist()):
+    U, e, big = _binade(U, 1)
+    if not all(0.5 <= b < 1.0 for b in big[:, 0].tolist()):
         raise ZeroDirection("support direction must be nonzero and finite")
-    U, e = _binade(U, 1)
     e = e[:, 0]
     norm_u = np.sqrt(np.matmul(U[:, None, :], U[:, :, None]))[:, 0, 0]
     vals = np.matmul(P.vertices, U[:, :, None])[:, :, 0]
     best = vals.max(axis=1)
     on_face = vals >= (best - REL_TOL * P.scale * norm_u)[:, None]
     margin = best - vals.max(axis=1, where=~on_face, initial=-np.inf)
-    if max(big.tolist(), default=0.0) < 1.0:  # 2^e <= 1: value and margin only shrink back
+    if max(e.tolist(), default=0) <= 0:  # 2^e <= 1: value and margin only shrink back
         return np.ldexp(best, e), on_face, np.ldexp(margin, e)
     with np.errstate(over="ignore"):  # a value past the float range is inf
         return np.ldexp(best, e), on_face, np.ldexp(margin, e)

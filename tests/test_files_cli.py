@@ -175,14 +175,19 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     ragged = _write(tmp_path, "ragged.json", '{"dim": 2, "vertices": [[0,0],[1]]}')
     assert main(["hull", ragged]) == 2
     capsys.readouterr()
-    # finite coordinates past 2^1022 / dim used to give a 1-vertex hull and exit 0
+    # finite coordinates past |x|_2 < 2^1022 / sqrt(dim) used to give a 1-vertex hull and exit 0
     huge = _write(tmp_path, "huge.json", json.dumps(
         {"dim": 2, "vertices": [[1.5e308, 1.5e308], [1.5e308, 1.4e308], [0, 0], [1.4e308, 0]]}
     ))
-    assert main(["hull", huge]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # each file is admitted, their sum is not
+    s = 0.75 * 2.0**1021
+    near = _write(tmp_path, "near.json", json.dumps({"dim": 2, "vertices": [[0, 0], [s, 0], [0, s]]}))
+    for argv in (["hull", huge], ["minkowski", near, near]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert main(["hull", near]) == 0
 
 
 def test_cli_random_polytope_and_frame(capsys):

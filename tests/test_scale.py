@@ -1,20 +1,26 @@
 """Predicates are scale-invariant, and invariant under rotation and translation
 while diameter / max|coordinate| stays far above machine epsilon."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homproj import (
+    BadNumber,
     apply_homothety,
     detect_homothety,
     extreme_points,
     minkowski_sum,
+    orthonormalize,
+    project_polytope,
     set_equal,
     support,
     verify_diameter_transfer,
     verify_no_parallel_diameters,
+    verify_theorem1,
     verify_theorem2,
 )
 from homproj.lp import _binade
@@ -72,7 +78,7 @@ def test_support_face_where_v_dot_u_overflows():
     assert res.value == res.margin == np.inf
 
 
-# Coordinates are admitted while max|x| < 2^1022 / dim: 2^1021 in the plane.
+# Points are admitted while |x|_2 < 2^1022 / sqrt(dim): (s, s) while s < 2^1021 in the plane.
 PLANE_BOUND = 2.0**1021
 
 
@@ -83,12 +89,12 @@ PLANE_BOUND = 2.0**1021
         [[1.5e308, 1.5e308], [1.5e308, 1.4e308], [0, 0], [1.4e308, 0]],
         # V @ u overflowed, so support at (0.9, 0.9) tied all three vertices
         [[1.2e308, 1.2e308], [1.2e308, 1.1e308], [1.1e308, 1.2e308]],
-        [[0.0, 0.0], [PLANE_BOUND, 0.0]],
-        [[0.0, 0.0], [0.0, -PLANE_BOUND]],
+        [[0.0, 0.0], [PLANE_BOUND, PLANE_BOUND]],
+        [[0.0, 0.0], [0.0, -2.0**1022]],
     ],
 )
 def test_points_past_the_coordinate_bound_raise(points):
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(BadNumber, match="non-finite"):
         extreme_points(points)
 
 
@@ -96,7 +102,7 @@ def test_minkowski_sum_past_the_bound_raises():
     s = 0.75 * PLANE_BOUND
     P = extreme_points([[0.0, 0.0], [s, 0.0], [0.0, s]])
     assert P.num_vertices == 3
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(BadNumber, match="non-finite"):
         minkowski_sum(P, P)
 
 
@@ -104,10 +110,10 @@ def test_apply_homothety_past_the_bound_raises():
     square = extreme_points([[0, 0], [1, 0], [0, 1], [1, 1]])
     assert apply_homothety(square, [0.0, 0.0], 0.5 * PLANE_BOUND).num_vertices == 4
     for ratio in (PLANE_BOUND, 1e308):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(BadNumber, match="non-finite"):
             apply_homothety(square, [0.0, 0.0], ratio)
-    with pytest.raises(ValueError, match="non-finite"):
-        apply_homothety(square, [PLANE_BOUND, 0.0], 1.0)
+    with pytest.raises(BadNumber, match="non-finite"):
+        apply_homothety(square, [PLANE_BOUND, PLANE_BOUND], 1.0)
 
 
 def test_set_just_inside_the_bound_keeps_every_vertex():
@@ -117,6 +123,20 @@ def test_set_just_inside_the_bound_keeps_every_vertex():
     assert P.vertices[3].tolist() == [s, s]
     res = support(P, [0.9, 0.9])
     assert res.face == (3,) and 0.0 < res.margin < res.value < np.inf
+    # on an axis the bound is 2^1021.5, past max|x| < 2^1022 / dim
+    assert extreme_points([[0.0, 0.0], [1.4 * PLANE_BOUND, 0.0]]).num_vertices == 2
+
+
+def test_shadows_of_an_admitted_polytope_are_admitted():
+    # a cube with |x|_2 = 0.9 * 2^1022 / sqrt(3); a shadow along (1, 1, 1) has max|y| above
+    # 2^1022 / 2, yet |y|_2 <= |x|_2 < 2^1022 / sqrt(2)
+    c = 0.3 * 2.0**1022
+    P = extreme_points(c * np.array(list(itertools.product([-1.0, 1.0], repeat=3))))
+    frame = orthonormalize([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    Q = project_polytope(P, frame)
+    assert Q.num_vertices == 6 and np.abs(Q.vertices).max() > 2.0**1021
+    report = verify_theorem1(P, apply_homothety(P, [0.0, 0.0, 0.0], -0.5), 2, 20, 5)
+    assert report.verdict == "pass" and report.passes == 20
 
 
 def test_detect_homothety_with_a_ratio_past_the_float_range_is_none():
@@ -133,19 +153,23 @@ def test_binade_contract(axis):
     X = rng.standard_normal((6, 3, 4, 2)) * np.ldexp(1.0, rng.integers(-1070, 1020, (6, 1, 1, 1)))
     X[2] = 0.0
     X[4, 1] = 0.0
-    Y, e = _binade(X, axis)
-    assert e.shape == np.abs(X).max(axis=axis, keepdims=True).shape
+    Y, e, m = _binade(X, axis)
+    assert e.shape == m.shape == np.abs(X).max(axis=axis, keepdims=True).shape
     assert np.array_equal(np.ldexp(Y, e), X)
-    big = np.broadcast_to(np.abs(Y).max(axis=axis, keepdims=True), e.shape)
-    zero = np.broadcast_to(np.abs(X).max(axis=axis, keepdims=True) == 0.0, e.shape)
+    assert np.array_equal(m, np.abs(Y).max(axis=axis, keepdims=True))
+    zero = np.abs(X).max(axis=axis, keepdims=True) == 0.0
     assert zero.any() and (~zero).any()
-    assert np.all(e[zero] == 0) and np.all(big[zero] == 0.0)
-    assert np.all((0.5 <= big[~zero]) & (big[~zero] < 1.0))
+    assert np.all(e[zero] == 0) and np.all(m[zero] == 0.0)
+    assert np.all((0.5 <= m[~zero]) & (m[~zero] < 1.0))
 
 
-def test_binade_of_empty_slices_is_zero():
-    Y, e = _binade(np.zeros((2, 0)), 1)
-    assert Y.shape == (2, 0) and e.tolist() == [[0], [0]]
+def test_binade_of_empty_and_non_finite_slices():
+    Y, e, m = _binade(np.zeros((2, 0)), 1)
+    assert Y.shape == (2, 0) and e.tolist() == [[0], [0]] and m.tolist() == [[0.0], [0.0]]
+    X = np.array([[np.inf, 1e308], [np.nan, 1.0]])
+    Y, e, m = _binade(X, 1)
+    assert np.array_equal(Y, X, equal_nan=True) and e.tolist() == [[0], [0]]
+    assert m[0, 0] == np.inf and np.isnan(m[1, 0])
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
