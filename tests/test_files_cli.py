@@ -181,7 +181,9 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     ))
     # each file is admitted, their sum is not
     s = 0.75 * 2.0**1021
-    near = _write(tmp_path, "near.json", json.dumps({"dim": 2, "vertices": [[0, 0], [s, 0], [0, s]]}))
+    near = _write(tmp_path, "near.json", json.dumps(
+        {"dim": 2, "vertices": [[0, 0], [s, 0], [0, s]]}
+    ))
     for argv in (["hull", huge], ["minkowski", near, near]):
         assert main(argv) == 2
         captured = capsys.readouterr()
