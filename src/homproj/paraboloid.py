@@ -64,8 +64,26 @@ class ParabolaRegion:
     quad_coeff: float = None
 
 
-def _perp(v):
-    return np.array([-v[1], v[0]])
+def _parabolas(spec, B):
+    """(full, axis, vertex, quad) of the shadows on the 2-frames of an (S, 2, 3) stack B.
+
+    A full plane reads axis = vertex = 0, quad = 1, which ``_homotheties`` maps by the identity;
+    stacked matmuls give each entry the bits of its own 1-D and 2-D products.
+    """
+    w = B[:, :, 2]
+    wn = np.sqrt(np.matmul(w[:, None, :], w[:, :, None]))[:, 0]
+    full = wn[:, 0] <= HORIZONTAL_TOL
+    axis, vertex, quad = np.zeros((len(B), 2)), np.zeros((len(B), 2)), np.ones(len(B))
+    tilted, wn = ~full, wn[~full]
+    a = w[tilted] / wn
+    perp = np.stack([-a[:, 1], a[:, 0]], axis=1)
+    P = B[tilted, :, :2]
+    M = np.matmul(np.matmul(P, spec.inverse), P.transpose(0, 2, 1)) / wn[:, :, None]
+    m11, m12, m22 = (np.matmul(np.matmul(u[:, None], M), v[:, :, None])[:, 0]
+                     for u, v in ((perp, perp), (perp, a), (a, a)))
+    axis[tilted], quad[tilted] = a, 1.0 / m11[:, 0]
+    vertex[tilted] = (-m12 / 2.0) * perp + (-m22 / 4.0) * a
+    return full, axis, vertex, quad
 
 
 def project_paraboloid(spec, frame):
@@ -75,41 +93,40 @@ def project_paraboloid(spec, frame):
     whole plane; every other plane gives a parabola region whose axis is the
     normalized in-plane image of the z-axis. Vertex and quadratic coefficient
     come from matching the support function of the shadow with the support
-    function of a parabola region.
+    function of a parabola region. This is the one-frame case of ``_parabolas``.
     """
     if frame.ambient_dim != 3 or frame.sub_dim != 2:
         raise BadDims("projection target must be a 2-frame in R^3")
-    w = frame.basis[:, 2]
-    wn = float(np.linalg.norm(w))
-    if wn <= HORIZONTAL_TOL:
-        return ParabolaRegion(full_plane=True)
-    axis = w / wn
-    perp = _perp(axis)
-    B = frame.basis[:, :2]
-    M = B @ spec.inverse @ B.T / wn
-    m11 = float(perp @ M @ perp)
-    m12 = float(perp @ M @ axis)
-    m22 = float(axis @ M @ axis)
-    quad = 1.0 / m11
-    vertex = (-m12 / 2.0) * perp + (-m22 / 4.0) * axis
-    return ParabolaRegion(full_plane=False, axis=axis, vertex=vertex, quad_coeff=quad)
+    (full,), (axis,), (vertex,), (quad,) = _parabolas(spec, frame.basis[None])
+    return ParabolaRegion(True) if full else ParabolaRegion(False, axis, vertex, float(quad))
+
+
+def _homotheties(p1, p2):
+    """(shift, ratio) with r1 = shift + ratio * r2 for each entry of two ``_parabolas`` stacks.
+
+    Parabola regions with equal unit axes (opposite ones, 2 apart, never occur on one frame) are
+    positively homothetic: ratio and shift map quadratic coefficient and vertex onto r1's.
+    """
+    (full1, axis1, vertex1, quad1), (full2, axis2, vertex2, quad2) = p1, p2
+    if np.any(full1 != full2):
+        raise MixedVariants("cannot relate a full plane to a parabola region")
+    gap = axis1 - axis2
+    if np.any(np.hypot(gap[:, 0], gap[:, 1]) > AXIS_TOL):
+        raise MixedVariants("parabola axes do not point the same way")
+    ratio = quad2 / quad1
+    return vertex1 - ratio[:, None] * vertex2, ratio
+
+
+def _as_stack(r):
+    """A ParabolaRegion as a one-entry ``_parabolas`` stack."""
+    fields = ((0.0, 0.0), (0.0, 0.0), 1.0) if r.full_plane else (r.axis, r.vertex, r.quad_coeff)
+    return (np.array([r.full_plane]), *(np.array([x], dtype=float) for x in fields))
 
 
 def parabola_homothety(r1, r2):
-    """Homothety r1 = z + lambda * r2 between shadows of a shared frame.
-
-    Parabola regions with equal unit axes (opposite ones, 2 apart, never occur on one frame)
-    are positively homothetic: lambda is the quadratic-coefficient ratio, z maps vertex to vertex.
-    """
-    if r1.full_plane != r2.full_plane:
-        raise MixedVariants("cannot relate a full plane to a parabola region")
-    if r1.full_plane:
-        return HomothetyResult(shift=np.zeros(2), ratio=1.0, residual=0.0)
-    if math.hypot(*(r1.axis - r2.axis)) > AXIS_TOL:
-        raise MixedVariants("parabola axes do not point the same way")
-    ratio = r2.quad_coeff / r1.quad_coeff
-    z = r1.vertex - ratio * r2.vertex
-    return HomothetyResult(shift=z, ratio=float(ratio), residual=0.0)
+    """Homothety r1 = z + lambda * r2 of two shadows on one frame; one pair of ``_homotheties``."""
+    (shift,), (ratio,) = _homotheties(_as_stack(r1), _as_stack(r2))
+    return HomothetyResult(shift=shift, ratio=float(ratio), residual=0.0)
 
 
 def paraboloid_homothetic(s1, s2):

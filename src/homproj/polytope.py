@@ -100,7 +100,7 @@ def others_index(k):
 
 def _canonical_sort(V, scale):
     """Lexicographic row order on the REL_TOL * scale grid; a total order."""
-    cells = np.round(V / (REL_TOL * scale))
+    cells = np.round((V - V.min(axis=0)) / (REL_TOL * scale))
     return V[np.lexsort(cells.T[::-1])]
 
 
@@ -226,18 +226,16 @@ def minkowski_sum(P, Q):
     return extreme_points(sums)
 
 
-def _shadow(P, frame):
-    """Vertices of P in the frame's coordinates: the points a projection hulls."""
-    if frame.ambient_dim != P.dim:
-        raise DimensionMismatch(
-            f"frame ambient dim {frame.ambient_dim} vs polytope dim {P.dim}"
-        )
-    return P.vertices @ frame.basis.T
+def _shadow(P, B):
+    """(S, k, m) vertices of P in each frame of the (S, m, n) basis stack B, for projections."""
+    if B.shape[2] != P.dim:
+        raise DimensionMismatch(f"frame ambient dim {B.shape[2]} vs polytope dim {P.dim}")
+    return np.matmul(P.vertices, B.transpose(0, 2, 1))
 
 
 def project_polytope(P, frame):
     """Orthogonal projection onto the frame's subspace, in frame coordinates."""
-    return extreme_points(_shadow(P, frame))
+    return extreme_points(_shadow(P, frame.basis[None])[0])
 
 
 def random_polytope(n, k, seed):

@@ -9,14 +9,9 @@ import numpy as np
 
 from .errors import BadDims, SingletonInput
 from .exposed import exposed_diameters
-from .geometry import frame_containing, random_frame
+from .geometry import _extend
 from .homothety import detect_homothety, homothety_record
-from .paraboloid import (
-    ParaboloidSpec,
-    parabola_homothety,
-    paraboloid_homothetic,
-    project_paraboloid,
-)
+from .paraboloid import ParaboloidSpec, _homotheties, _parabolas, paraboloid_homothetic
 from .polytope import _distances, _shadow, extreme_points_many
 
 PARALLEL_TOL = 1e-9
@@ -44,21 +39,21 @@ def _subseed(seed, index):
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _projection_record(frame, Q1, Q2, result):
+def _projection_record(basis, Q1, Q2, result):
     return {
-        "frame": frame.basis.tolist(),
+        "frame": basis.tolist(),
         "projection_1": Q1.vertices.tolist(),
         "projection_2": Q2.vertices.tolist(),
         "homothety": homothety_record(result),
     }
 
 
-def _projection_sweep(name, P1, P2, frames, seed):
-    """Shared body of the theorem-1 style checks.
+def _projection_sweep(name, P1, P2, B, seed):
+    """Shared body of the theorem-1 style checks, over the (S, m, n) basis stack B.
 
-    All shadows of P1 and P2, two per frame, are hulled in one
-    ``extreme_points_many`` call; each hull equals that of its own
-    ``project_polytope`` call. When P1 and P2 are homothetic the check is
+    All shadows of P1 and P2, two per frame, are taken as two stacked matmuls
+    and hulled in one ``extreme_points_many`` call; each hull equals that of
+    its own ``project_polytope`` call. When P1 and P2 are homothetic the check is
     universal: every sampled projection pair must be homothetic. When they
     are not, the check is existential: a non-homothetic projection is the
     sought witness; finding none is flagged as converse tension, since
@@ -74,15 +69,15 @@ def _projection_sweep(name, P1, P2, frames, seed):
     where z + Q2 rounds off Q1 although a point always maps onto a point.
     """
     direct = detect_homothety(P1, P2)
-    hulls = extreme_points_many([_shadow(P, frame) for frame in frames for P in (P1, P2)])
+    hulls = extreme_points_many([Q for pair in zip(_shadow(P1, B), _shadow(P2, B)) for Q in pair])
     homothetic_count = 0
     first_bad = None
-    for frame, Q1, Q2 in zip(frames, hulls[::2], hulls[1::2]):
+    for basis, Q1, Q2 in zip(B, hulls[::2], hulls[1::2]):
         result = detect_homothety(Q1, Q2)
         if result is not None:
             homothetic_count += 1
         elif first_bad is None:
-            first_bad = _projection_record(frame, Q1, Q2, result)
+            first_bad = _projection_record(basis, Q1, Q2, result)
 
     existential = direct is None
     witnesses = [] if first_bad is None else [first_bad]
@@ -92,8 +87,8 @@ def _projection_sweep(name, P1, P2, frames, seed):
         witnesses.append({"converse_tension": True})
     return Report(
         check_name=name,
-        instances_run=len(frames),
-        passes=len(frames) - homothetic_count if existential else homothetic_count,
+        instances_run=len(B),
+        passes=len(B) - homothetic_count if existential else homothetic_count,
         seed=seed,
         # universal: pass iff no frame is bad; existential: pass iff one is
         verdict="pass" if (first_bad is not None) == existential else "fail",
@@ -103,12 +98,12 @@ def _projection_sweep(name, P1, P2, frames, seed):
 
 
 def _frames(n, m, sub, samples, seed):
-    """The seeded m-frames of a sweep, each containing sub (any if sub is None)."""
+    """(samples, m, n) basis stack of a sweep: entry i is ``random_frame(n, m, _subseed(seed, i))``,
+    or ``frame_containing(sub, m, ...)`` unless sub is None (m > dim sub)."""
     if samples < 1:
         raise BadDims("samples must be >= 1")
-    if sub is None:
-        return [random_frame(n, m, _subseed(seed, i)) for i in range(samples)]
-    return [frame_containing(sub, m, _subseed(seed, i)) for i in range(samples)]
+    head = np.empty((0, n)) if sub is None else sub.basis
+    return _extend(head, m, [_subseed(seed, i) for i in range(samples)])
 
 
 def _sweep(name, P1, P2, sub, m, samples, seed):
@@ -236,18 +231,13 @@ def verify_example1(samples, seed):
     2-frames; every shadow pair must be positively homothetic while the
     solid bodies themselves are not.
     """
-    frames = _frames(3, 2, None, samples, seed)
+    B = _frames(3, 2, None, samples, seed)
     s1 = ParaboloidSpec(np.eye(2))
     s2 = ParaboloidSpec(np.diag([2.0, 1.0]))
     body_ratio = paraboloid_homothetic(s1, s2)
-    passes = 0
-    witnesses = []
-    for frame in frames:
-        h = parabola_homothety(project_paraboloid(s1, frame), project_paraboloid(s2, frame))
-        if h.ratio > 0.0:
-            passes += 1
-        else:
-            witnesses.append({"frame": frame.basis.tolist()})
+    _, ratio = _homotheties(_parabolas(s1, B), _parabolas(s2, B))
+    witnesses = [{"frame": B[s].tolist()} for s in np.flatnonzero(~(ratio > 0.0))]
+    passes = samples - len(witnesses)
     ok = passes == samples and body_ratio is None
     witnesses.append({"body_homothety_ratio": body_ratio})
     return Report(

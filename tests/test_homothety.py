@@ -131,7 +131,8 @@ def test_shadow_match_certifies_the_set_level_map():
             frames = [
                 random_frame(n, m, int(rng.integers(2**32))) for m in range(1, n) for _ in range(12)
             ]
-            hulls = extreme_points_many([_shadow(P, f) for f in frames for P in (P1, P2)])
+            shadows = [_shadow(P, f.basis[None])[0] for f in frames for P in (P1, P2)]
+            hulls = extreme_points_many(shadows)
             for Q1, Q2 in zip(hulls[::2], hulls[1::2]):
                 h = detect_homothety(Q1, Q2)
                 assert h is not None

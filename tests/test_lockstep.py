@@ -6,10 +6,14 @@ Bland's-rule loop gives for it alone, and the hull and diameter routines
 built on the batch must return the bytes of their one-LP-at-a-time form.
 A hull of a stack of point sets must not depend on the other sets, and a
 projection sweep that hulls all its shadows at once must write the reports of
-the per-frame sweep.
+the per-frame sweep. Likewise the frames of a sweep, orthonormalized as one
+stack, and the paraboloid shadows of example 1, taken as one stack, must carry
+the bits of their frozen one-at-a-time forms.
 """
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,10 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homproj as hp
-from homproj import _simplex_py, files, homothety, verify
+from homproj import _simplex_py, files, geometry, homothety, verify
 from homproj._simplex_py import OPTIMAL, PIVOT_TOL, UNBOUNDED, simplex_maximize_batch
+from homproj.errors import DependentInput
+from homproj.geometry import GRAM_TOL, RANK_TOL
 from homproj.homothety import DEFAULT_TOL
 from homproj.lp import margin_directions
+from homproj.paraboloid import AXIS_TOL, HORIZONTAL_TOL, _homotheties, _parabolas
 from homproj.polytope import REL_TOL, _canonical_sort, _distances
 from homproj.verify import _subseed
 
@@ -425,14 +432,15 @@ def _dedupe_reference(points):
     return kept
 
 
-def _per_frame_sweep(name, P1, P2, frames, seed):
-    """Frozen copy of the projection sweep that hulls two shadows per frame."""
+def _per_frame_sweep(name, P1, P2, B, seed):
+    """Frozen copy of the projection sweep that hulls two shadows per frame of the basis stack B."""
     direct = hp.detect_homothety(P1, P2)
     witnesses = []
     homothetic_count = 0
     n_frames = 0
     first_bad = None
-    for frame in frames:
+    for basis in B:
+        frame = hp.Frame(basis)
         n_frames += 1
         Q1 = hp.project_polytope(P1, frame)
         Q2 = hp.project_polytope(P2, frame)
@@ -443,7 +451,7 @@ def _per_frame_sweep(name, P1, P2, frames, seed):
         if sound:
             homothetic_count += 1
         elif first_bad is None:
-            first_bad = verify._projection_record(frame, Q1, Q2, result)
+            first_bad = verify._projection_record(basis, Q1, Q2, result)
 
     if direct is not None:
         verdict = "pass" if homothetic_count == n_frames else "fail"
@@ -557,3 +565,195 @@ def test_sweep_fail_branches_match_the_per_frame_sweep(
         assert [list(w) for w in report.witnesses] == witness_keys
         texts.append(files.report_to_text(report))
     assert texts[0] == texts[1]
+
+
+def _frozen_orthonormalize(vectors):
+    """Frozen copy of the per-frame ``orthonormalize``: its basis, or DependentInput."""
+    V = np.atleast_2d(np.asarray(vectors, dtype=float))
+    max_norm = float(np.max(np.linalg.norm(V, axis=1)))
+    if max_norm == 0.0:
+        raise DependentInput("zero input vector")
+    rows = []
+    for v in V:
+        w = v.astype(float).copy()
+        for _ in range(2):
+            for r in rows:
+                w -= (w @ r) * r
+        norm = np.linalg.norm(w)
+        if not norm > RANK_TOL * max_norm:
+            raise DependentInput("numerically dependent input vectors")
+        rows.append(w / norm)
+    B = np.array(rows)
+    if not np.max(np.abs(B @ B.T - np.eye(B.shape[0]))) <= GRAM_TOL:
+        raise DependentInput("basis rows are not orthonormal")
+    return B
+
+
+def _frozen_extend(head, m, seed):
+    """Frozen copy of the per-frame sampling loop of ``random_frame`` and ``frame_containing``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(16):
+        extra = rng.standard_normal((m - head.shape[0], head.shape[1]))
+        try:
+            return _frozen_orthonormalize(np.concatenate([head, extra]))
+        except DependentInput:
+            continue
+    raise DependentInput("random sampling kept producing dependent vectors")
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (4, 2), (4, 3), (6, 4)])
+def test_stacked_frames_match_the_per_frame_sampler(n, m):
+    line = hp.random_frame(n, 1, 99)
+    for sub in (None, line):
+        head = np.empty((0, n)) if sub is None else line.basis
+        for seed in (0, 7):
+            B = verify._frames(n, m, sub, 100, seed)
+            assert B.shape == (100, m, n)
+            for i, basis in enumerate(B):
+                s = _subseed(seed, i)
+                alone = hp.random_frame(n, m, s) if sub is None else hp.frame_containing(line, m, s)
+                assert basis.tobytes() == _frozen_extend(head, m, s).tobytes()
+                assert basis.tobytes() == alone.basis.tobytes()
+
+
+def test_a_redrawn_entry_keeps_the_bits_of_its_own_draws(monkeypatch):
+    # seed 11 draws a dependent pair first, seed 13 a zero pair and then a nan
+    # pair; each must redraw from its own rng alone
+    real = np.random.default_rng
+    rigged = {
+        11: [[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]],
+        13: [np.zeros((2, 3)), np.full((2, 3), np.nan)],
+    }
+
+    class Rigged:
+        def __init__(self, seed):
+            self.rng, self.first = real(seed), list(rigged.get(seed, []))
+
+        def standard_normal(self, shape):
+            return np.array(self.first.pop(0)) if self.first else self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Rigged)
+    seeds = [10, 11, 12, 13]
+    B = geometry._extend(np.empty((0, 3)), 2, seeds)
+    for basis, seed in zip(B, seeds):
+        assert basis.tobytes() == _frozen_extend(np.empty((0, 3)), 2, seed).tobytes()
+    monkeypatch.setattr(np.random, "default_rng", real)
+    assert B[[0, 2]].tobytes() == geometry._extend(np.empty((0, 3)), 2, [10, 12]).tobytes()
+
+
+def test_example1_frame_bases_are_pinned():
+    digests = {
+        0: "0a3e9babcf28a6f322283f0fbf2e530cf0d87f7872b017a706e8bddcbda236c7",
+        7: "2f594b216f8d48fe9e99b1edc11a72c8cc7fe91a63b83590d391b520e8dd8e8e",
+        4242: "7c691c45418f7c1b5be15361ef29bbf621d2cc5f929ca5605934fd9d184aa3cf",
+    }
+    for seed, digest in digests.items():
+        assert hashlib.sha256(verify._frames(3, 2, None, 100, seed).tobytes()).hexdigest() == digest
+
+
+def test_a_dependent_entry_is_flagged_alone():
+    solo = [[[1.0, 2.0, 0.0], [0.5, 0.0, 1.0]], [[0.0, 3.0, 1.0], [2.0, 2.0, 2.0]]]
+    for bad in ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]):
+        Q, ok = geometry._gram_schmidt(np.array([solo[0], bad, solo[1]]))
+        assert ok.tolist() == [True, False, True]
+        for q, V in zip(Q[[0, 2]], solo):
+            assert q.tobytes() == hp.orthonormalize(V).basis.tobytes()
+            assert q.tobytes() == _frozen_orthonormalize(V).tobytes()
+        with pytest.raises(DependentInput):
+            hp.orthonormalize(bad)
+
+
+def _frozen_parabola(spec, basis):
+    """Frozen copy of the per-frame ``project_paraboloid``: (axis, vertex, quad), None if full."""
+    w = basis[:, 2]
+    wn = float(np.linalg.norm(w))
+    if wn <= HORIZONTAL_TOL:
+        return None
+    axis = w / wn
+    perp = np.array([-axis[1], axis[0]])
+    B = basis[:, :2]
+    M = B @ spec.inverse @ B.T / wn
+    m11 = float(perp @ M @ perp)
+    m12 = float(perp @ M @ axis)
+    m22 = float(axis @ M @ axis)
+    return axis, (-m12 / 2.0) * perp + (-m22 / 4.0) * axis, 1.0 / m11
+
+
+SPECS = (hp.ParaboloidSpec(np.eye(2)), hp.ParaboloidSpec(np.diag([2.0, 1.0])),
+         hp.ParaboloidSpec(np.array([[1.5, -0.2], [-0.2, 0.8]])))
+
+
+def test_stacked_shadows_match_the_per_frame_projection():
+    # example-1 frames with the horizontal frame at two places and a frame
+    # 1e-11 off it at a third: a full plane for those entries only
+    horizontal = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    almost = hp.orthonormalize([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-11]]).basis
+    B = verify._frames(3, 2, None, 200, 3)
+    B[[5, 77]], B[150] = horizontal, almost
+    for spec in SPECS:
+        full, axis, vertex, quad = _parabolas(spec, B)
+        assert np.flatnonzero(full).tolist() == [5, 77, 150]
+        for i, basis in enumerate(B):
+            ref = _frozen_parabola(spec, basis)
+            region = hp.project_paraboloid(spec, hp.Frame(basis))
+            assert region.full_plane == full[i] == (ref is None)
+            if ref is None:
+                assert (axis[i].tolist(), vertex[i].tolist(), quad[i]) == ([0, 0], [0, 0], 1)
+                continue
+            got = (axis[i], vertex[i], quad[i])
+            for x, y, z in zip(got, ref, (region.axis, region.vertex, region.quad_coeff)):
+                assert _bits(x) == _bits(y) == _bits(z)
+        shift, ratio = _homotheties(_parabolas(SPECS[0], B), (full, axis, vertex, quad))
+        for i in (5, 77, 150):
+            assert (shift[i].tolist(), ratio[i]) == ([0.0, 0.0], 1.0)
+
+
+def _per_frame_example1(samples, seed):
+    """Frozen copy of ``verify_example1``: one frame, two shadows and one homothety at a time."""
+    s1, s2 = SPECS[:2]
+    body_ratio = hp.paraboloid_homothetic(s1, s2)
+    passes = 0
+    witnesses = []
+    for i in range(samples):
+        basis = _frozen_extend(np.empty((0, 3)), 2, _subseed(seed, i))
+        r1, r2 = _frozen_parabola(s1, basis), _frozen_parabola(s2, basis)
+        assert (r1 is None) == (r2 is None)
+        if r1 is None:
+            ratio = 1.0
+        else:
+            assert math.hypot(*(r1[0] - r2[0])) <= AXIS_TOL
+            ratio = r2[2] / r1[2]
+        if ratio > 0.0:
+            passes += 1
+        else:
+            witnesses.append({"frame": basis.tolist()})
+    witnesses.append({"body_homothety_ratio": body_ratio})
+    return verify.Report(
+        check_name="example1",
+        instances_run=samples,
+        passes=passes,
+        seed=seed,
+        verdict="pass" if passes == samples and body_ratio is None else "fail",
+        witnesses=witnesses,
+    )
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (100, 7), (100, 4242), (250, 1)])
+def test_example1_reports_match_the_per_frame_check(samples, seed):
+    got = files.report_to_text(hp.verify_example1(samples, seed))
+    assert got == files.report_to_text(_per_frame_example1(samples, seed))
+
+
+def test_example1_witnesses_read_the_basis_stack(monkeypatch):
+    # a frame whose ratio is not positive is a witness with its own basis
+    def negated(p1, p2):
+        shift, ratio = _homotheties(p1, p2)
+        ratio[[3, 8]] *= -1.0
+        return shift, ratio
+
+    monkeypatch.setattr(verify, "_homotheties", negated)
+    report = hp.verify_example1(10, 5)
+    B = verify._frames(3, 2, None, 10, 5)
+    assert (report.verdict, report.passes) == ("fail", 8)
+    assert report.witnesses[:2] == [{"frame": B[3].tolist()}, {"frame": B[8].tolist()}]

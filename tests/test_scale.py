@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from homproj import (
     BadNumber,
+    DependentInput,
     apply_homothety,
     detect_homothety,
     extreme_points,
     minkowski_sum,
+    negate,
     orthonormalize,
     project_polytope,
     set_equal,
@@ -145,6 +147,32 @@ def test_detect_homothety_with_a_ratio_past_the_float_range_is_none():
     big, small = extreme_points(2e300 * square), extreme_points(1e-300 * square)
     assert detect_homothety(big, small) is None
     assert detect_homothety(small, big) is None
+
+
+@pytest.mark.parametrize("s", [2.0**-1074, 1e-300, 2.0**-600, 1.0, 2.0**600, 1e300, 2.0**1020])
+def test_orthonormalize_is_scale_free(s):
+    # the 45 degree frame at every scale, and at a power of two the bits of s = 1;
+    # the norms of the inputs once underflowed to 0 or overflowed to inf
+    F = orthonormalize(s * np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+    r = np.sqrt(0.5)
+    assert np.allclose(F.basis, [[r, r, 0.0], [r, -r, 0.0]], rtol=0.0, atol=1e-15)
+    if np.log2(s).is_integer():
+        unit = orthonormalize([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        assert F.basis.tobytes() == unit.basis.tobytes()
+
+
+def test_orthonormalize_far_apart_norms_are_dependent_without_overflow():
+    # |(1, 0, 0)| is 1e-300 of |(1e300, 1e300, 0)|, far below RANK_TOL
+    with pytest.raises(DependentInput, match="dependent"):
+        orthonormalize([[1e300, 1e300, 0.0], [1.0, 0.0, 0.0]])
+
+
+def test_hull_far_from_its_own_scale_sorts_without_overflow():
+    # |x| / scale past ~1.8e299 overflowed the grid cells of the canonical sort
+    assert extreme_points([[1e300, 0.0]]).vertices.tolist() == [[1e300, 0.0]]
+    P = extreme_points([[1e300, 1.0], [1e300, 0.0]])
+    assert P.vertices.tolist() == [[1e300, 0.0], [1e300, 1.0]]
+    assert negate(P).vertices.tolist() == [[-1e300, -1.0], [-1e300, 0.0]]
 
 
 @pytest.mark.parametrize("axis", [1, (1, 2), (-3, -2, -1)])
