@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTolerance, DimensionMismatch, ZeroLambda
-from .polytope import REL_TOL, Polytope, _bounded, _canonical_sort, _distances, _scale
+from .polytope import REL_TOL, Polytope, _distances
 
 DEFAULT_TOL = REL_TOL
 
@@ -26,15 +26,15 @@ class HomothetyResult:
 
 
 def apply_homothety(P, z, ratio):
-    """Image of P under x -> z + ratio * x (vertex count kept); BadNumber past ``_bounded``."""
+    """Image of P under x -> z + ratio * x, vertex count kept; BadNumber past the Polytope bound."""
     z = np.asarray(z, dtype=float)
     if ratio == 0.0:
         raise ZeroLambda("homothety ratio must be nonzero")
     if z.shape != (P.dim,):
         raise DimensionMismatch(f"shift length {z.shape} vs dim {P.dim}")
-    with np.errstate(all="ignore"):  # a non-finite ratio or shift, or an overflow, fails _bounded
-        V = _bounded(z + ratio * P.vertices)
-    return Polytope(_canonical_sort(V, _scale(abs(ratio) * P.diameter)))
+    with np.errstate(all="ignore"):  # a non-finite ratio or shift, or an overflow, fails the bound
+        V = z + ratio * P.vertices
+    return Polytope(V)
 
 
 def homothety_record(result):

@@ -1,17 +1,16 @@
 """Canonical V-representation of compact convex sets.
 
 A Polytope stores exactly the extreme points of its convex hull, sorted
-lexicographically (on a REL_TOL * scale grid so near-ties order stably). All
-predicates compare gaps with REL_TOL * scale: ``_scale`` alone sets scale =
-diameter (1 for a singleton), ``_distances`` alone measures distances and
-``_bounded`` alone admits coordinates. So they are scale-invariant, and
-translation-invariant only while diameter / max|coordinate| stays well above
-machine epsilon; past that, a translation rounds away the very differences
-the predicates compare, which no tolerance can restore.
+lexicographically (on a REL_TOL * scale grid so near-ties order stably). Its
+constructor alone admits the rows (``_bounded``), measures the diameter, sets
+the scale (``_scale``: the diameter, 1 for a singleton) and orders the rows.
+All predicates compare gaps with REL_TOL * scale and ``_distances`` alone
+measures distances. So they are scale-invariant, and translation-invariant only
+while diameter / max|coordinate| stays well above machine epsilon; past that, a
+translation rounds away the very differences the predicates compare.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,14 +22,22 @@ REL_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """Extreme points (rows, canonical order) of a compact convex set; trusted if built directly."""
+    """Extreme points (rows, canonical order) of a compact convex set, its diameter and scale.
+
+    A direct build bounds, measures and orders its rows; it trusts only that they are extreme.
+    """
 
     vertices: np.ndarray
+    diameter: float = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        V = np.ascontiguousarray(np.atleast_2d(np.asarray(self.vertices, dtype=float)))
-        V.setflags(write=False)
-        object.__setattr__(self, "vertices", V)
+        V = _rows(self.vertices)
+        d = float(_distances(V).max(initial=0.0))
+        object.__setattr__(self, "diameter", d)
+        object.__setattr__(self, "scale", _scale(d))
+        object.__setattr__(self, "vertices", _canonical_sort(V, self.scale))
+        self.vertices.setflags(write=False)
 
     @property
     def dim(self):
@@ -39,16 +46,6 @@ class Polytope:
     @property
     def num_vertices(self):
         return self.vertices.shape[0]
-
-    @cached_property
-    def diameter(self):
-        """Largest pairwise vertex distance; 0 for a singleton."""
-        return float(_distances(self.vertices).max(initial=0.0))
-
-    @cached_property
-    def scale(self):
-        """The length that every tolerance on this polytope is relative to."""
-        return _scale(self.diameter)
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,9 @@ def others_index(k):
 
 
 def _canonical_sort(V, scale):
-    """Lexicographic row order on the REL_TOL * scale grid; a total order."""
+    """Lexicographic row order on the REL_TOL * scale grid, ties by coordinates; a total order."""
     cells = np.round((V - V.min(axis=0)) / (REL_TOL * scale))
-    return V[np.lexsort(cells.T[::-1])]
+    return V[np.lexsort(np.concatenate([V.T[::-1], cells.T[::-1]]))]
 
 
 def _point_array(points):
@@ -113,6 +110,14 @@ def _point_array(points):
     if P.size == 0:
         raise EmptyInput("no input points")
     return P
+
+
+def _rows(points):
+    """points as a 2-D float array inside ``_bounded``: the rows a Polytope admits."""
+    P = _point_array(points)
+    if P.ndim != 2:
+        raise DimensionMismatch("points do not share a common length")
+    return _bounded(P)
 
 
 def _groups(keys):
@@ -131,9 +136,7 @@ def extreme_points(points):
     one-set case of ``extreme_points_many``.
     """
     P = _point_array(points)
-    if P.ndim == 1:
-        P = P[None, :]
-    (hull,) = extreme_points_many([P])
+    (hull,) = extreme_points_many([P[None, :] if P.ndim == 1 else P])
     return hull
 
 
@@ -147,13 +150,9 @@ def extreme_points_many(stack):
     ``margin_directions`` call; its per-LP parity makes every result
     independent of the batch it was solved in.
     """
-    sets = [_point_array(points) for points in stack]
+    sets = [_rows(points) for points in stack]
     if not sets:
         raise EmptyInput("no point sets")
-    for P in sets:
-        if P.ndim != 2:
-            raise DimensionMismatch("points do not share a common length")
-        _bounded(P)
 
     # drop near-duplicates (the first one stays) so a duplicated extreme point survives
     scales = [0.0] * len(sets)
@@ -179,7 +178,7 @@ def extreme_points_many(stack):
         )
         for s, delta in zip(index, deltas.reshape(len(index), k)):
             sets[s] = sets[s][delta > REL_TOL * scales[s]]
-    return [Polytope(_canonical_sort(V, scale)) for V, scale in zip(sets, scales)]
+    return [Polytope(V) for V in sets]
 
 
 def _support_rows(P, U):
@@ -215,7 +214,7 @@ def support(P, u):
 
 def negate(P):
     """Reflection through the origin."""
-    return Polytope(_canonical_sort(-P.vertices, P.scale))
+    return Polytope(-P.vertices)
 
 
 def minkowski_sum(P, Q):

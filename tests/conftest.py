@@ -43,3 +43,16 @@ def c_kernel(tmp_path_factory):
         check=True,
     )
     return Kernel(out)
+
+
+@pytest.fixture
+def kernel(request, monkeypatch):
+    """The LP kernel a byte gate runs on: the active backend, or ``c_kernel``.
+
+    Parametrize "kernel" indirectly with "c" to patch the gcc-built kernel into
+    ``homproj.lp`` for the test (skipped without gcc); ``cli.main`` runs in-process,
+    so the CLI solves on it too. Unparametrized, the active backend is used.
+    """
+    if getattr(request, "param", "active") == "c":
+        monkeypatch.setattr(homproj.lp, "_kernel", request.getfixturevalue("c_kernel"))
+    return homproj.lp._kernel

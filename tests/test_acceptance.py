@@ -202,7 +202,7 @@ def test_criterion_8_detector_oracle_equivalence():
     _report("criterion 8: detector vs support-grid oracle, 50 pairs", disagreements == 0)
 
 
-def test_criterion_9_determinism(fixtures):
+def test_criterion_9_determinism(fixtures, kernel):
     cube = fixtures["cube"]
     moved = hp.apply_homothety(cube, np.array([0.1, -0.2, 0.3]), -1.5)
     runs = [
@@ -214,3 +214,8 @@ def test_criterion_9_determinism(fixtures):
     runs = [report_to_text(hp.verify_theorem2(hp.random_polytope(3, 10, 5))) for _ in range(2)]
     ok = ok and runs[0] == runs[1]
     _report("criterion 9: byte-identical seeded reports", ok)
+
+
+@pytest.mark.parametrize("kernel", ["c"], indirect=True)
+def test_criterion_9_determinism_on_the_c_kernel(fixtures, kernel):
+    test_criterion_9_determinism(fixtures, kernel)

@@ -2,8 +2,9 @@
 
 Each case pins the sha256 of what ``main`` prints (or the text itself when
 it is short) on small fixtures, so a refactor of the CLI or of the JSON
-writers cannot change a single byte unnoticed. The parser test pins each
-subcommand's options and defaults.
+writers cannot change a single byte unnoticed. Every case runs on the active
+LP backend and again on the C kernel (the ``kernel`` fixture), so one set of
+bytes pins both. The parser test pins each subcommand's options and defaults.
 """
 
 import argparse
@@ -199,10 +200,16 @@ def _subcommands():
     return action
 
 
-@pytest.mark.parametrize(
-    "argv, code, out, err", CASES, ids=[f"{i}-{case[0][0]}" for i, case in enumerate(CASES)]
-)
-def test_cli_golden_output(argv, code, out, err, paths, tmp_path, capsys):
+# every case on the active backend (id "i-command") and on the C kernel (id "c-i-command")
+ON_BOTH_KERNELS = [
+    pytest.param(*case, kernel, id=f"{prefix}{i}-{case[0][0]}")
+    for kernel, prefix in (("active", ""), ("c", "c-"))
+    for i, case in enumerate(CASES)
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err, kernel", ON_BOTH_KERNELS, indirect=["kernel"])
+def test_cli_golden_output(argv, code, out, err, kernel, paths, tmp_path, capsys):
     got = _run(argv, paths, capsys)
     assert got[0] == code
     _assert_pinned(got[1], out)

@@ -8,7 +8,7 @@ import pytest
 
 from homproj import files
 from homproj.cli import COMMANDS, build_parser, main
-from homproj.errors import FormatError, MissingField
+from homproj.errors import BadNumber, FormatError, MissingField
 
 SQUARE_DOC = json.dumps(
     {"dim": 2, "vertices": [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]},
@@ -51,6 +51,36 @@ def test_paraboloid_roundtrip():
     assert files.paraboloid_to_text(spec) == json.dumps(
         {"A": [[2.0, 0.0], [0.0, 1.0]]}, indent=2
     ) + "\n"
+
+
+def test_paraboloid_text_roundtrip_keeps_every_bit():
+    text = files.paraboloid_to_text(files.paraboloid_from_text(
+        '{"A": [[1.5, -0.2], [-0.2, 0.8]]}'
+    ))
+    assert text == json.dumps({"A": [[1.5, -0.2], [-0.2, 0.8]]}, indent=2) + "\n"
+    spec = files.paraboloid_from_text(text)
+    assert files.paraboloid_to_text(spec) == text
+    assert spec.coeff.tobytes() == np.array([[1.5, -0.2], [-0.2, 0.8]]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"A": [[1.0, 0.5], [0.25, 1.0]]}', FormatError),  # not symmetric
+        ('{"A": [[1.0, 2.0], [2.0, 1.0]]}', FormatError),  # indefinite
+        ('{"A": [[0.0, 0.0], [0.0, 1.0]]}', FormatError),  # singular
+        ('{"A": [[NaN, 0.0], [0.0, 1.0]]}', BadNumber),
+        ('{"A": [[1.0, 0.0], [0.0, Infinity]]}', BadNumber),
+        ('{"A": [[1e999, 0.0], [0.0, 1.0]]}', BadNumber),
+        ('{"A": [[1.0, "0"], ["0", 1.0]]}', BadNumber),
+        ('{"B": [[1.0, 0.0], [0.0, 1.0]]}', MissingField),
+    ],
+    ids=["asymmetric", "indefinite", "singular", "nan", "inf", "overflow", "string", "no-A"],
+)
+def test_paraboloid_reader_errors(text, error):
+    with pytest.raises(FormatError) as info:
+        files.paraboloid_from_text(text)
+    assert type(info.value) is error
 
 
 def _write(tmp_path, name, text):

@@ -8,7 +8,10 @@ A hull of a stack of point sets must not depend on the other sets, and a
 projection sweep that hulls all its shadows at once must write the reports of
 the per-frame sweep. Likewise the frames of a sweep, orthonormalized as one
 stack, and the paraboloid shadows of example 1, taken as one stack, must carry
-the bits of their frozen one-at-a-time forms.
+the bits of their frozen one-at-a-time forms. The Polytope constructor, which
+sorts every polytope at its own scale, must give the order the callers' frozen
+sorts gave, except on near-ties of the sort grid. The hull, sweep and
+constructor oracles run on both LP kernels (the ``kernel`` fixture).
 """
 
 import hashlib
@@ -286,7 +289,7 @@ def _corpus_1_2():
     return out
 
 
-def test_hulls_match_scalar_on_acceptance_corpora():
+def test_hulls_match_scalar_on_acceptance_corpora(kernel):
     # criteria 1 and 2: the random polytopes from their raw samples
     for n in (2, 3, 4):
         for i in range(0, 100, 5):
@@ -316,6 +319,11 @@ def test_hulls_match_scalar_on_acceptance_corpora():
                         assert hp.project_polytope(Q, frame).vertices.tobytes() == (
                             _scalar_extreme_points(shadow).tobytes()
                         )
+
+
+@pytest.mark.parametrize("kernel", ["c"], indirect=True)
+def test_hulls_match_scalar_on_the_c_kernel(kernel):
+    test_hulls_match_scalar_on_acceptance_corpora(kernel)
 
 
 def test_exposed_diameters_match_scalar_on_acceptance_corpora():
@@ -376,6 +384,94 @@ def test_many_hulls_match_one_hull_each(stack):
         alone = hp.extreme_points(points).vertices
         assert hull.vertices.shape == alone.shape
         assert hull.vertices.tobytes() == alone.tobytes()
+
+
+def _frozen_sort(V, scale):
+    """Frozen copy of the canonical sort as callers ran it before the constructor owned it."""
+    cells = np.round((V - V.min(axis=0)) / (REL_TOL * scale))
+    return V[np.lexsort(cells.T[::-1])]
+
+
+def _frozen_hull_rows(points, hull):
+    """(the hull's rows in input order, first copy of each; the input set's scale)."""
+    rows, kept = {v.tobytes() for v in hull.vertices}, {}
+    for p in points:
+        if p.tobytes() in rows:
+            kept.setdefault(p.tobytes(), p)
+    return np.array(list(kept.values())), float(_distances(points).max()) or 1.0
+
+
+def _matches_frozen_sort(P, rows, scale):
+    """True if P.vertices has the bytes of the frozen sort of rows at scale. Else False, after
+    checking that both orders hold the same rows and that every pair they order differently
+    is a near-tie on the grid: under each scale its first differing cells are one apart, or
+    none differs (the frozen sort then kept the input order, the constructor compares the
+    coordinates)."""
+    old = _frozen_sort(rows, scale)
+    if P.vertices.tobytes() == old.tobytes():
+        return True
+    rank = {v.tobytes(): i for i, v in enumerate(P.vertices)}
+    moved = [rank[v.tobytes()] for v in old]
+    assert sorted(moved) == list(range(P.num_vertices))
+    for s in (scale, P.scale):
+        cells = np.round((P.vertices - P.vertices.min(axis=0)) / (REL_TOL * s))
+        for a, b in itertools.combinations(range(len(moved)), 2):
+            if moved[a] > moved[b]:
+                step = (cells[moved[a]] - cells[moved[b]])[cells[moved[a]] != cells[moved[b]]]
+                assert step.size == 0 or abs(step[0]) == 1
+    return False
+
+
+def _parity_set(rng, k, n):
+    """k points in R^n at a scale in 1e-5..1e5: Gaussian, with a copy of the farthest point
+    moved by 1 to 1.5 times the hull tolerance (just outside its dedupe radius), or with the
+    first coordinates within a sort-grid cell of each other (near-ties on the grid)."""
+    X = rng.standard_normal((k, n))
+    kind = rng.integers(3)
+    if kind == 1:
+        far = X[np.argmax(np.linalg.norm(X, axis=1))]
+        step = rng.standard_normal(n)
+        step *= REL_TOL * _distances(X).max() * rng.uniform(1.0, 1.5) / np.linalg.norm(step)
+        X[rng.integers(k)] = far + step
+    elif kind == 2 and n > 1:
+        X[:, 0] = np.round(X[0, 0], 1) + REL_TOL * rng.uniform(-1.0, 1.0, k)
+    shift = 10.0 ** rng.uniform(-5.0, 5.0) * rng.standard_normal(n)
+    return 10.0 ** rng.uniform(-5.0, 5.0) * X + shift
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_constructor_order_matches_the_frozen_caller_sorts(kernel):
+    # callers sorted hulls at the input set's scale, images at |lambda| * diameter and
+    # reflections at the scale of P; the constructor sorts each at its own scale, which
+    # may reorder only near-ties on the grid (see the next test)
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 4):
+        stack = [_parity_set(rng, int(rng.integers(2, 10)), n) for _ in range(150)]
+        for points, P in zip(stack, hp.extreme_points_many(stack)):
+            _matches_frozen_sort(P, *_frozen_hull_rows(points, P))
+            assert _bits(P.diameter) == _bits(_distances(P.vertices).max(initial=0.0))
+            z = 10.0 ** rng.uniform(-5.0, 5.0) * rng.standard_normal(n)
+            ratio = 10.0 ** rng.uniform(-3.0, 3.0) * rng.choice([-1.0, 1.0])
+            image = hp.apply_homothety(P, z, ratio)
+            scale = (abs(ratio) * P.diameter) or 1.0
+            _matches_frozen_sort(image, z + ratio * P.vertices, scale)
+            assert _matches_frozen_sort(hp.negate(P), -P.vertices, P.scale)
+
+
+def test_an_image_far_out_is_ordered_at_its_own_scale():
+    # a thin triangle moved 6e5 away: the rounded image's diameter is 1.6e-10 relative
+    # off |lambda| * diameter, and two rows 1.2 grid cells apart share every cell at that
+    # scale but not at the image's own; the image takes the order every build of its rows
+    # takes, where the old caller-side sort kept the order of P
+    P = hp.extreme_points([[1.1, 1.6], [-0.7, 0.5], [1.10000000143493, 1.5999999978599406]])
+    image = hp.apply_homothety(P, [424148.0, -467379.0], 0.1)
+    rows = [424148.0, -467379.0] + 0.1 * P.vertices
+    assert not _matches_frozen_sort(image, rows, 0.1 * P.diameter)
+    assert image.vertices.tolist() == [
+        [424147.93, -467378.95], [424148.11, -467378.84], [424148.11000000016, -467378.8400000002]
+    ]
+    for p in itertools.permutations(range(3)):
+        assert hp.Polytope(rows[list(p)]).vertices.tobytes() == image.vertices.tobytes()
 
 
 def _count_margin_calls(monkeypatch):
@@ -496,9 +592,17 @@ def _sweep_pairs():
     }
 
 
-@pytest.mark.parametrize("seed", [0, 7, 4242])
-@pytest.mark.parametrize("pair", sorted(_sweep_pairs()))
-def test_sweep_reports_match_the_per_frame_sweep(monkeypatch, pair, seed):
+# every (pair, seed) on the active backend (id "pair-seed") and on the C kernel ("c-pair-seed")
+SWEEP_CASES = [
+    pytest.param(pair, seed, kernel, id=f"{prefix}{pair}-{seed}")
+    for kernel, prefix in (("active", ""), ("c", "c-"))
+    for seed in (0, 7, 4242)
+    for pair in sorted(_sweep_pairs())
+]
+
+
+@pytest.mark.parametrize("pair, seed, kernel", SWEEP_CASES, indirect=["kernel"])
+def test_sweep_reports_match_the_per_frame_sweep(monkeypatch, pair, seed, kernel):
     P1, P2 = _sweep_pairs()[pair]
     n = P1.dim
     runs = [(hp.verify_theorem1, (P1, P2, m, 6, seed)) for m in range(2, n)]

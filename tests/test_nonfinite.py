@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from homproj import (
+    BadNumber,
     DependentInput,
     Frame,
+    Polytope,
     ZeroDirection,
     apply_homothety,
     exposed_diameter_near,
@@ -36,6 +38,9 @@ CASES = {
     "homothety-nan-shift": (lambda: apply_homothety(SQUARE, [np.nan, 0.0], 2.0), ValueError),
     "homothety-inf-shift": (lambda: apply_homothety(SQUARE, [0.0, -np.inf], 2.0), ValueError),
     "homothety-overflow": (lambda: apply_homothety(HUGE, [0.0, 0.0], 1e200), ValueError),
+    "polytope-nan": (lambda: Polytope([[np.nan, 0.0], [1.0, 1.0]]), BadNumber),
+    "polytope-inf": (lambda: Polytope([[0.0, -np.inf]]), BadNumber),
+    "polytope-past-bound": (lambda: Polytope([[1e308, 0.0], [-1e308, 0.0]]), BadNumber),
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from scipy.spatial import ConvexHull
 
 from homproj import (
     BadDims,
+    BadNumber,
     DimensionMismatch,
     EmptyInput,
     Frame,
+    KernelError,
     Polytope,
     ZeroDirection,
     diameter,
@@ -189,6 +192,66 @@ def test_canonical_order_ignores_input_order():
     assert len(orders) == 1
     # x values 1e-12 apart tie, so y decides
     assert negate(Polytope([[1e-12, -1.0], [0.0, 0.0]])).vertices.tolist() == [[0, 0], [-1e-12, 1]]
+
+
+def test_direct_build_order_ignores_row_order():
+    # hulls of 6 vertices, rows 6e-10 apart in x (a tie band) and two rows in one grid
+    # cell, each also far out of unit scale and moved: all row orders give one order, the
+    # order of the hull pass where the rows are a hull
+    band = np.array([[0.0, 1.0], [6e-10, 0.5], [1.2e-9, 0.0]])
+    cell = np.array([[0.0, 0.0], [1.0, 0.0], [2e-10, 2e-10]])  # was kept in input order
+    hulls = [random_polytope(*args).vertices for args in ((2, 8, 1), (3, 6, 4), (4, 6, 5))]
+    for V in hulls + [band, cell]:
+        for s in (1.0, 1e-200, 1e200):
+            W = s * V + s
+            want = Polytope(W).vertices.tobytes()
+            if V is not band and V is not cell:
+                assert extreme_points(W).vertices.tobytes() == want
+            for p in itertools.permutations(range(len(W))):
+                assert Polytope(W[list(p)]).vertices.tobytes() == want
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([[math.nan, 0.0], [1.0, 1.0]], BadNumber),  # was kept with diameter nan
+        ([[math.inf, 0.0], [1.0, 1.0]], BadNumber),
+        ([[1e308, 0.0], [-1e308, 0.0]], BadNumber),  # was kept with scale inf, after an overflow
+        ([[1.000001 * 2.0**1022 / math.sqrt(2.0), 0.0]], BadNumber),  # just past |x|_2 bound
+        ([[1.0, 2.0], [1.0, 2.0, 3.0]], DimensionMismatch),  # was numpy's bare ValueError
+        ([1.0, 2.0], DimensionMismatch),  # not rows
+        ([], EmptyInput),
+        (np.zeros((0, 3)), EmptyInput),
+    ],
+    ids=["nan", "inf", "past-bound", "just-past", "ragged", "one-dim", "empty", "no-rows"],
+)
+def test_direct_build_refuses_what_it_cannot_hold(rows, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            Polytope(rows)
+    assert isinstance(info.value, KernelError)
+
+
+def test_direct_build_is_measured_and_sorted():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # just inside the bound: a finite scale and the one true support face
+        edge = np.nextafter(2.0**1022 / math.sqrt(2.0), 0.0)
+        P = Polytope([[edge, 0.0], [-edge, 0.0]])
+        assert P.vertices[:, 0].tolist() == [-edge, edge]
+        assert P.diameter == P.scale == 2.0 * edge
+        assert support(P, [1.0, 0.0]).face == (1,)
+        assert support(P, [-1.0, 0.0]).face == (0,)
+    # rows in the order extreme_points gives them, measured at build; the caller's
+    # array is copied, not frozen
+    V = np.array([[1.0, 0.0], [0.0, 0.0]])
+    P = Polytope(V)
+    assert P.vertices.tolist() == extreme_points(V).vertices.tolist() == [[0, 0], [1, 0]]
+    assert (P.diameter, P.scale) == (1.0, 1.0)
+    assert (Polytope([[5.0, 5.0]]).diameter, Polytope([[5.0, 5.0]]).scale) == (0.0, 1.0)
+    assert V.flags.writeable and not P.vertices.flags.writeable
+    assert "diameter" not in repr(P) and "scale" not in repr(P)
 
 
 def test_near_duplicates_keep_the_first_kept_point():
