@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
-from .lp import margin_direction, margin_directions
-from .polytope import REL_TOL, _support_rows, others_index
+from .lp import _dots, margin_direction, margin_directions
+from .polytope import REL_TOL, _apart, _support_rows
 
 PERTURB_RETRIES = 64
 
@@ -45,11 +45,8 @@ def is_exposed(P, v):
         raise NotAVertex(f"{v.tolist()} is not a vertex of the polytope")
     i = int(hits[0])
     if P.num_vertices == 1:
-        u = np.zeros(P.dim)
-        u[0] = 1.0
-        return True, u, math.inf
-    others = np.delete(P.vertices, i, axis=0)
-    delta, u = margin_direction(P.vertices[i] - others)
+        return True, np.eye(P.dim)[0], math.inf
+    delta, u = margin_direction(_apart(P.vertices)[i])
     return delta > REL_TOL * P.scale, u, delta
 
 
@@ -134,25 +131,21 @@ def exposed_diameters(P):
     For each pair (v, w) the LP maximizes delta s.t. u.(v - x) >= delta for x != v,
     u.(y - w) >= delta for y != w and |u|_inf <= 1; the pair qualifies iff delta >
     REL_TOL * scale and one ``_diameters_at`` call over all such u / |u| finds it.
+    Rows y - w come from ``_apart(-V)``, whose (-w) - (-y) keeps the +0.0 that -(w - y) flips.
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
-    V, k = P.vertices, P.num_vertices
+    V = P.vertices
     # all k(k-1)/2 pair programs in one batch, pairs in (i, j) row-major order
-    others = V[others_index(k)]
-    max_rows = V[:, None, :] - others
-    min_rows = others - V[:, None, :]
-    I, J = np.triu_indices(k, 1)
-    deltas, us = margin_directions(np.concatenate([max_rows[I], min_rows[J]], axis=1))
+    I, J = np.triu_indices(P.num_vertices, 1)
+    deltas, us = margin_directions(np.concatenate([_apart(V)[I], _apart(-V)[J]], axis=1))
     keep = deltas > REL_TOL * P.scale
     U, pairs = us[keep], zip(I[keep].tolist(), J[keep].tolist())
-    found = _diameters_at(P, U / np.sqrt(np.matmul(U[:, None, :], U[:, :, None]))[:, 0])
+    found = _diameters_at(P, U / np.sqrt(_dots(U, U))[:, None])
     return [d for d, ij in zip(found, pairs) if d is not None and (d.i, d.j) == ij]
 
 
 def antipodally_exposed_points(P):
     """Vertices appearing as an endpoint of at least one exposed diameter."""
-    if P.num_vertices < 2:
-        raise SingletonInput("needs at least two vertices")
     endpoints = {k for d in exposed_diameters(P) for k in (d.i, d.j)}
     return [P.vertices[k] for k in sorted(endpoints)]

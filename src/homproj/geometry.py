@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDims, DependentInput, DimensionMismatch, EmptyInput
-from .lp import _binade
+from .lp import _binade, _dots
 
 GRAM_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -49,8 +49,8 @@ def _orthonormal(B):
 def _gram_schmidt(V):
     """(Q, ok): ``orthonormalize`` of each entry of an (S, k, n) stack, at its ``_binade`` scale.
 
-    Stacked (1, n) by (n, 1) matmuls give each entry the bits of its own 1-D ``w @ r``.
-    ok[s] is False where entry s is dependent or not finite.
+    Every dot product and norm is a ``_dots`` row product. ok[s] is False where entry s is
+    dependent or not finite.
     """
     V, _, big = _binade(V, (1, 2))
     ok = np.isfinite(big[:, 0, 0])
@@ -60,8 +60,8 @@ def _gram_schmidt(V):
         w = V[:, i]
         for _ in range(2):
             for j in range(i):
-                w -= np.matmul(w[:, None, :], V[:, j, :, None])[:, 0] * V[:, j]
-        norm = np.sqrt(np.matmul(w[:, None, :], w[:, :, None]))[:, 0, 0]
+                w -= _dots(w, V[:, j])[:, None] * V[:, j]
+        norm = np.sqrt(_dots(w, w))
         ok &= norm > tol
         w /= np.where(ok, norm, 1.0)[:, None]
     return V, ok

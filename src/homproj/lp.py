@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _simplex_py
 from ._simplex_py import OPTIMAL
+from .errors import KernelError
 
 if os.environ.get("HOMPROJ_FORCE_PYTHON"):
     _kernel, BACKEND = _simplex_py, "python"
@@ -46,6 +47,12 @@ def _binade(X, axis):
     return np.ldexp(X, -e), e, m
 
 
+def _dots(X, Y):
+    """(...) row products x . y of two (..., n) stacks: a stacked (1, n) by (n, 1) matmul gives
+    each entry the bits of its own 1-D ``x @ y``; a sum, ``einsum`` or gemm does not."""
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
+
+
 def margin_direction(dirs):
     """Best uniform separation margin over the unit-inf-norm direction box.
 
@@ -62,9 +69,9 @@ def margin_direction(dirs):
 def margin_directions(Ds):
     """``margin_direction`` for each of B same-shape direction lists at once.
 
-    Ds is (B, m, n); returns (delta[B], u[B, n]). The B margin programs are
-    assembled in one array and solved in one kernel call; each result
-    equals, bit for bit, that of its own ``margin_direction`` call.
+    Ds is (B, m, n); returns (delta[B], u[B, n]). The B programs are assembled in one array and
+    solved in one kernel call; each result equals, bit for bit, that of its own ``margin_direction``
+    call. Each is bounded, so one the kernel reports unbounded was lost to rounding: KernelError.
     """
     Ds = np.asarray(Ds, dtype=float)
     if Ds.ndim != 3 or Ds.shape[1] == 0 or Ds.shape[2] == 0:
@@ -84,5 +91,5 @@ def margin_directions(Ds):
     c[2 * n] = 1.0
     status, obj, x = _kernel.simplex_maximize_batch(A, b, c)
     if np.any(status != OPTIMAL):
-        raise RuntimeError("separation LP unbounded; inputs are not finite")
+        raise KernelError("separation LP reported unbounded: the simplex pivoting failed")
     return np.ldexp(obj, e[:, 0, 0]), x[:, :n] - x[:, n : 2 * n]

@@ -7,13 +7,13 @@ closed form via the support function h(v) = (v_xy . A^-1 . v_xy) / (4 |v_3|)
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadDims, MixedVariants
 from .homothety import HomothetyResult
+from .lp import _dots
 
 HORIZONTAL_TOL = 1e-10
 AXIS_TOL = 1e-9
@@ -22,13 +22,14 @@ PROPORTION_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ParaboloidSpec:
-    """Coefficient matrix A of the solid paraboloid (x,y).A.(x,y) <= z.
+    """Coefficient matrix A of the solid paraboloid (x,y).A.(x,y) <= z, and its inverse.
 
-    A is finite, exactly symmetric, and its smallest eigenvalue exceeds 1e-12
-    times its largest (positive definite relative to its own size).
+    A is finite, exactly symmetric, and its smallest eigenvalue exceeds 1e-12 times its
+    largest (positive definite relative to its own size). A^-1 is computed with it, once.
     """
 
     coeff: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.ascontiguousarray(np.asarray(self.coeff, dtype=float))
@@ -41,13 +42,9 @@ class ParaboloidSpec:
         low, high = np.linalg.eigvalsh(A)
         if not low > 1e-12 * high:
             raise ValueError("coefficient matrix must be positive definite")
-        A.setflags(write=False)
-        object.__setattr__(self, "coeff", A)
-
-    @cached_property
-    def inverse(self):
-        """A^-1, computed once per paraboloid."""
-        return np.linalg.inv(self.coeff)
+        for name, M in (("coeff", A), ("inverse", np.linalg.inv(A))):
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,22 +64,21 @@ class ParabolaRegion:
 def _parabolas(spec, B):
     """(full, axis, vertex, quad) of the shadows on the 2-frames of an (S, 2, 3) stack B.
 
-    A full plane reads axis = vertex = 0, quad = 1, which ``_homotheties`` maps by the identity;
-    stacked matmuls give each entry the bits of its own 1-D and 2-D products.
+    A full plane reads axis = vertex = 0, quad = 1, which ``_homotheties`` maps by the identity.
     """
     w = B[:, :, 2]
-    wn = np.sqrt(np.matmul(w[:, None, :], w[:, :, None]))[:, 0]
-    full = wn[:, 0] <= HORIZONTAL_TOL
+    wn = np.sqrt(_dots(w, w))
+    full = wn <= HORIZONTAL_TOL
     axis, vertex, quad = np.zeros((len(B), 2)), np.zeros((len(B), 2)), np.ones(len(B))
-    tilted, wn = ~full, wn[~full]
+    tilted, wn = ~full, wn[~full, None]
     a = w[tilted] / wn
     perp = np.stack([-a[:, 1], a[:, 0]], axis=1)
     P = B[tilted, :, :2]
     M = np.matmul(np.matmul(P, spec.inverse), P.transpose(0, 2, 1)) / wn[:, :, None]
-    m11, m12, m22 = (np.matmul(np.matmul(u[:, None], M), v[:, :, None])[:, 0]
+    m11, m12, m22 = (_dots(np.matmul(u[:, None], M)[:, 0], v)
                      for u, v in ((perp, perp), (perp, a), (a, a)))
-    axis[tilted], quad[tilted] = a, 1.0 / m11[:, 0]
-    vertex[tilted] = (-m12 / 2.0) * perp + (-m22 / 4.0) * a
+    axis[tilted], quad[tilted] = a, 1.0 / m11
+    vertex[tilted] = (-m12[:, None] / 2.0) * perp + (-m22[:, None] / 4.0) * a
     return full, axis, vertex, quad
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDims, BadNumber, DimensionMismatch, EmptyInput, ZeroDirection
-from .lp import _binade, margin_directions
+from .lp import _binade, _dots, margin_directions
 
 REL_TOL = 1e-9
 
@@ -89,10 +89,12 @@ def diameter(P):
     return P.diameter
 
 
-def others_index(k):
-    """(k, k-1) index array whose row i lists 0..k-1 without i, in order."""
+def _apart(V):
+    """(..., k, k - 1, n) rows of the separation programs of V (..., k, n): entry i holds V[i]
+    minus each other row of V, in order. Hulls, exposure and diameters all build them here."""
+    k = V.shape[-2]
     j = np.arange(k - 1)
-    return j + (j >= np.arange(k)[:, None])
+    return V[..., :, None, :] - V[..., j + (j >= np.arange(k)[:, None]), :]
 
 
 def _canonical_sort(V, scale):
@@ -173,9 +175,7 @@ def extreme_points_many(stack):
         if k == 1:
             continue
         V = np.stack([sets[s] for s in index])
-        deltas, _ = margin_directions(
-            (V[:, :, None, :] - V[:, others_index(k)]).reshape(-1, k - 1, V.shape[2])
-        )
+        deltas, _ = margin_directions(_apart(V).reshape(-1, k - 1, V.shape[2]))
         for s, delta in zip(index, deltas.reshape(len(index), k)):
             sets[s] = sets[s][delta > REL_TOL * scales[s]]
     return [Polytope(V) for V in sets]
@@ -186,13 +186,12 @@ def _support_rows(P, U):
 
     The face is the vertices within REL_TOL * scale * |u| of the max, the margin the
     gap to the best vertex off it (inf if none), each row at its ``_binade`` scale (inf past range).
-    Stacked matmuls give each row the bits of its own V @ u and |u|; gemm U @ V.T does not.
     """
     U, e, big = _binade(U, 1)
     if not all(0.5 <= b < 1.0 for b in big[:, 0].tolist()):
         raise ZeroDirection("support direction must be nonzero and finite")
     e = e[:, 0]
-    norm_u = np.sqrt(np.matmul(U[:, None, :], U[:, :, None]))[:, 0, 0]
+    norm_u = np.sqrt(_dots(U, U))
     vals = np.matmul(P.vertices, U[:, :, None])[:, :, 0]
     best = vals.max(axis=1)
     on_face = vals >= (best - REL_TOL * P.scale * norm_u)[:, None]

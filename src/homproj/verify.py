@@ -161,10 +161,8 @@ def verify_no_parallel_diameters(P):
     Two unit directions d_i, d_j count as parallel when
     min(|d_i - d_j|, |d_i + d_j|) = 2 sin(theta / 2) <= PARALLEL_TOL, theta
     the angle between the lines; unlike 1 - |cos theta| it does not cancel
-    at small angles.
+    at small angles. A singleton raises SingletonInput from ``exposed_diameters``.
     """
-    if P.num_vertices < 2:
-        raise SingletonInput("needs at least two vertices")
     diams = exposed_diameters(P)
     X, Z = P.vertices[[d.i for d in diams]], P.vertices[[d.j for d in diams]]
     U = (X - Z) / _distances(X[:, None], Z[:, None])[:, 0]  # |x - z| of each pair alone

@@ -2,11 +2,13 @@ import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from homproj import files
+from homproj import files, lp, random_frame
+from homproj._simplex_py import UNBOUNDED
 from homproj.cli import COMMANDS, build_parser, main
 from homproj.errors import BadNumber, FormatError, MissingField
 
@@ -222,6 +224,18 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert main(["hull", near]) == 0
 
 
+def test_cli_failed_margin_lp_exits_2(monkeypatch, square_file, capsys):
+    # a kernel that loses a bounded program reports UNBOUNDED: an input error line, not exit 1
+    def unbounded(A, b, c):
+        return np.full(len(A), UNBOUNDED), np.zeros(len(A)), np.zeros((len(A), A.shape[2]))
+
+    monkeypatch.setattr(lp, "_kernel", SimpleNamespace(simplex_maximize_batch=unbounded))
+    assert main(["hull", square_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: separation LP reported unbounded: the simplex pivoting failed\n"
+
+
 def test_cli_random_polytope_and_frame(capsys):
     assert main(["random", "--dim", "2", "--points", "8", "--seed", "7"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -265,6 +279,10 @@ SKEW_TRIANGLE = {"dim": 2, "vertices": [[0, 0], [3, 0], [1, 1]]}
         ["random", "--dim", "2", "--frame-dim", "3"],
         ["project", "{square}", "--random-frame", "3"],
         ["verify-corollary1", "{cube}", "{cube}", "--m", "9"],
+        # a frame of the wrong ambient dimension, a top-level array, a mis-shaped frame
+        ["project", "{square}", "--frame", "{plane3}"],
+        ["hull", "{array}"],
+        ["project", "{cube}", "--frame", "{misshaped}"],
     ],
 )
 def test_cli_bad_arguments_exit_2(argv, tmp_path, capsys):
@@ -278,6 +296,11 @@ def test_cli_bad_arguments_exit_2(argv, tmp_path, capsys):
         ),
         "string_vertex": _write(
             tmp_path, "str.json", '{"dim": 2, "vertices": [[0,0],[1,0],[0,"1"]]}'
+        ),
+        "plane3": _write(tmp_path, "plane3.json", files.frame_to_text(random_frame(3, 2, 0))),
+        "array": _write(tmp_path, "array.json", "[[0, 0], [1, 0]]"),
+        "misshaped": _write(
+            tmp_path, "misshaped.json", '{"ambient_dim": 3, "sub_dim": 2, "basis": [[1, 0, 0]]}'
         ),
     }
     try:

@@ -11,7 +11,9 @@ stack, and the paraboloid shadows of example 1, taken as one stack, must carry
 the bits of their frozen one-at-a-time forms. The Polytope constructor, which
 sorts every polytope at its own scale, must give the order the callers' frozen
 sorts gave, except on near-ties of the sort grid. The hull, sweep and
-constructor oracles run on both LP kernels (the ``kernel`` fixture).
+constructor oracles run on both LP kernels (the ``kernel`` fixture). Every separation
+program and every stacked row product must carry the bytes of its frozen builder or
+matmul, signed zeros included.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homproj as hp
-from homproj import _simplex_py, files, geometry, homothety, verify
+from homproj import _simplex_py, files, geometry, homothety, lp, verify
 from homproj._simplex_py import OPTIMAL, PIVOT_TOL, UNBOUNDED, simplex_maximize_batch
 from homproj.errors import DependentInput
 from homproj.geometry import GRAM_TOL, RANK_TOL
@@ -861,3 +863,164 @@ def test_example1_witnesses_read_the_basis_stack(monkeypatch):
     B = verify._frames(3, 2, None, 10, 5)
     assert (report.verdict, report.passes) == ("fail", 8)
     assert report.witnesses[:2] == [{"frame": B[3].tolist()}, {"frame": B[8].tolist()}]
+
+
+def _frozen_others(k):
+    """Frozen copy of the former ``polytope.others_index``: row i lists 0..k-1 without i."""
+    j = np.arange(k - 1)
+    return j + (j >= np.arange(k)[:, None])
+
+
+def _frozen_hull_programs(V):
+    """Frozen hull builder: the "vertex minus the others" programs of an (S, k, n) stack."""
+    k, n = V.shape[1:]
+    return (V[:, :, None, :] - V[:, _frozen_others(k)]).reshape(-1, k - 1, n)
+
+
+def _frozen_pair_programs(V):
+    """Frozen builder of the pair programs of ``exposed_diameters``: v - x rows, then y - w."""
+    others = V[_frozen_others(len(V))]
+    I, J = np.triu_indices(len(V), 1)
+    return np.concatenate([(V[:, None, :] - others)[I], (others - V[:, None, :])[J]], axis=1)
+
+
+def _frozen_exposure_program(V, i):
+    """Frozen builder of the ``is_exposed`` program of vertex i."""
+    return V[i] - np.delete(V, i, axis=0)
+
+
+def _frozen_unit_rows(U):
+    """Frozen witness normalization of ``exposed_diameters``."""
+    return U / np.sqrt(np.matmul(U[:, None, :], U[:, :, None]))[:, 0]
+
+
+def _integer_bodies():
+    """Square, cube and simplex4 (rows sharing coordinates give exact zero differences), and
+    the reflected square, whose -0.0 coordinates meet +0.0 ones."""
+    square = hp.extreme_points([[0, 0], [1, 0], [0, 1], [1, 1]])
+    cube = hp.extreme_points([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    simplex4 = hp.extreme_points(np.vstack([np.zeros(4), np.eye(4)]))
+    return [square, cube, simplex4, hp.negate(square)]
+
+
+def _recorded(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records (arguments, result) of every call."""
+    calls, real = [], getattr(module, name)
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_separation_programs_match_the_frozen_builders(monkeypatch, kernel):
+    # every program reaches the kernel with the bytes of its frozen builder, signed zeros
+    # included: o - v and (-v) - (-o) are one IEEE sum, -(v - o) is not where v and o tie
+    hulls = _recorded(monkeypatch, hp.polytope, "margin_directions")
+    pairs = _recorded(monkeypatch, hp.exposed, "margin_directions")
+    solos = _recorded(monkeypatch, hp.exposed, "margin_direction")
+    units = _recorded(monkeypatch, hp.exposed, "_diameters_at")
+    rng = np.random.default_rng(17)
+    stacks = [np.stack([P.vertices for P in _integer_bodies()[i::3]]) for i in range(3)]
+    for n, k in ((2, 5), (3, 7), (4, 9)):
+        shift = 10.0 ** rng.uniform(-3.0, 3.0, (20, 1, n)) * rng.standard_normal((20, 1, n))
+        stacks.append(10.0 ** rng.uniform(-3.0, 3.0, (20, 1, 1)) * rng.standard_normal((20, k, n))
+                      + shift)
+    for V in stacks:
+        hulls.clear()
+        hp.extreme_points_many(V)
+        ((Ds,), _), = hulls
+        assert Ds.tobytes() == _frozen_hull_programs(V).tobytes()
+    for P in _corpus_1_2()[::4] + _integer_bodies():
+        pairs.clear()
+        units.clear()
+        hp.exposed_diameters(P)
+        ((Ds,), (deltas, us)), = pairs
+        assert Ds.tobytes() == _frozen_pair_programs(P.vertices).tobytes()
+        ((_, U), _), = units
+        keep = deltas > REL_TOL * P.scale
+        assert U.tobytes() == _frozen_unit_rows(us[keep]).tobytes()
+        solos.clear()
+        for v in P.vertices:
+            hp.is_exposed(P, v)
+        for i, ((D,), _) in enumerate(solos):
+            assert D.tobytes() == _frozen_exposure_program(P.vertices, i).tobytes()
+        assert len(solos) == P.num_vertices
+
+
+def _frozen_support_rows(P, U):
+    """Frozen copy of ``polytope._support_rows`` (its |u| a stacked matmul), as (value, face,
+    margin) on rows of U inside the float range."""
+    U, e, _ = lp._binade(U, 1)
+    e = e[:, 0]
+    norm_u = np.sqrt(np.matmul(U[:, None, :], U[:, :, None]))[:, 0, 0]
+    vals = np.matmul(P.vertices, U[:, :, None])[:, :, 0]
+    best = vals.max(axis=1)
+    on_face = vals >= (best - REL_TOL * P.scale * norm_u)[:, None]
+    margin = best - vals.max(axis=1, where=~on_face, initial=-np.inf)
+    return np.ldexp(best, e), on_face, np.ldexp(margin, e)
+
+
+def _frozen_gram_schmidt(V):
+    """Frozen copy of ``geometry._gram_schmidt`` with its dot products and norms as matmuls."""
+    V, _, big = lp._binade(V, (1, 2))
+    ok = np.isfinite(big[:, 0, 0])
+    V = np.where(ok[:, None, None], V, 0.0)
+    tol = RANK_TOL * np.sqrt((V * V).sum(axis=2)).max(axis=1)
+    for i in range(V.shape[1]):
+        w = V[:, i]
+        for _ in range(2):
+            for j in range(i):
+                w -= np.matmul(w[:, None, :], V[:, j, :, None])[:, 0] * V[:, j]
+        norm = np.sqrt(np.matmul(w[:, None, :], w[:, :, None]))[:, 0, 0]
+        ok &= norm > tol
+        w /= np.where(ok, norm, 1.0)[:, None]
+    return V, ok
+
+
+def _frozen_parabolas(spec, B):
+    """Frozen copy of ``paraboloid._parabolas`` with |w| and its quadratic forms as matmuls."""
+    w = B[:, :, 2]
+    wn = np.sqrt(np.matmul(w[:, None, :], w[:, :, None]))[:, 0]
+    full = wn[:, 0] <= HORIZONTAL_TOL
+    axis, vertex, quad = np.zeros((len(B), 2)), np.zeros((len(B), 2)), np.ones(len(B))
+    tilted, wn = ~full, wn[~full]
+    a = w[tilted] / wn
+    perp = np.stack([-a[:, 1], a[:, 0]], axis=1)
+    P = B[tilted, :, :2]
+    M = np.matmul(np.matmul(P, spec.inverse), P.transpose(0, 2, 1)) / wn[:, :, None]
+    m11, m12, m22 = (np.matmul(np.matmul(u[:, None], M), v[:, :, None])[:, 0]
+                     for u, v in ((perp, perp), (perp, a), (a, a)))
+    axis[tilted], quad[tilted] = a, 1.0 / m11[:, 0]
+    vertex[tilted] = (-m12 / 2.0) * perp + (-m22 / 4.0) * a
+    return full, axis, vertex, quad
+
+
+def test_row_products_match_the_frozen_matmuls():
+    rng = np.random.default_rng(18)
+    for P in _corpus_1_2()[::4] + _integer_bodies():
+        U = rng.standard_normal((50, P.dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (50, 1))
+        U[::5, 0] = 0.0
+        U[1::5] = np.round(U[1::5])
+        U = U[np.abs(U).max(axis=1) > 0.0]
+        unit = lp._binade(U, 1)[0]
+        assert np.sqrt(lp._dots(unit, unit)).tobytes() == (
+            np.sqrt(np.matmul(unit[:, None, :], unit[:, :, None]))[:, 0, 0].tobytes()
+        )
+        for got, ref in zip(hp.polytope._support_rows(P, U), _frozen_support_rows(P, U)):
+            assert got.tobytes() == ref.tobytes()
+    for n, m in ((3, 2), (4, 3), (6, 4)):
+        X = rng.standard_normal((100, m, n))
+        X[::4] = np.round(X[::4])  # integer rows: exact zeros, and some dependent entries
+        Q, ok = geometry._gram_schmidt(X)
+        Q_ref, ok_ref = _frozen_gram_schmidt(X)
+        assert Q.tobytes() == Q_ref.tobytes() and ok.tolist() == ok_ref.tolist()
+    B = verify._frames(3, 2, None, 200, 3)
+    B[[5, 77]] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    B[150] = [[0.0, 1.0, 0.0], [0.6, 0.0, 0.8]]
+    for spec in SPECS:
+        for got, ref in zip(_parabolas(spec, B), _frozen_parabolas(spec, B)):
+            assert got.tobytes() == ref.tobytes()

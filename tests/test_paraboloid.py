@@ -202,3 +202,14 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError, match=reason):
             ParaboloidSpec(np.diag(diagonal))
+
+
+def test_spec_measures_its_inverse_at_build_time():
+    A = np.array([[1.5, -0.2], [-0.2, 0.8]])
+    spec = ParaboloidSpec(A)
+    assert "inverse" in vars(spec)
+    assert spec.inverse.tobytes() == np.linalg.inv(A).tobytes()
+    assert not spec.inverse.flags.writeable and not spec.coeff.flags.writeable
+    assert "inverse" not in repr(spec)
+    with pytest.raises(TypeError):
+        ParaboloidSpec(A, np.eye(2))
