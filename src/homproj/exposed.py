@@ -70,6 +70,8 @@ def _diameters_at(P, U):
 def _perturbation_search(dim, f, eps, seed, accept):
     """The first non-None accept(g), over f and then its perturbations g."""
     f = np.asarray(f, dtype=float)
+    if f.shape != (dim,):
+        raise DimensionMismatch(f"direction length {f.shape} vs dim {dim}")
     if not abs(np.linalg.norm(f) - 1.0) <= 1e-9:
         raise ZeroDirection("f must be a unit vector")
     if not 0.0 < eps < math.inf:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import BadDims, SingletonInput
 from .exposed import exposed_diameters
-from .geometry import _extend
+from .geometry import _extend, _seed_state, _words
 from .homothety import detect_homothety, homothety_record
 from .paraboloid import ParaboloidSpec, _homotheties, _parabolas, paraboloid_homothetic
 from .polytope import _distances, _shadow, extreme_points_many
@@ -33,10 +33,6 @@ class Report:
     verdict: str
     existential: bool = False
     witnesses: list = field(default_factory=list)
-
-
-def _subseed(seed, index):
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def _projection_record(basis, Q1, Q2, result):
@@ -98,12 +94,16 @@ def _projection_sweep(name, P1, P2, B, seed):
 
 
 def _frames(n, m, sub, samples, seed):
-    """(samples, m, n) basis stack of a sweep: entry i is ``random_frame(n, m, _subseed(seed, i))``,
-    or ``frame_containing(sub, m, ...)`` unless sub is None (m > dim sub)."""
+    """(samples, m, n) basis stack of a sweep: entry i is ``random_frame(n, m, s_i)``, or
+    ``frame_containing(sub, m, s_i)`` unless sub is None (m > dim sub), where the seed is a
+    non-negative int and s_i = ``SeedSequence([seed, i]).generate_state(1)[0]``."""
     if samples < 1:
         raise BadDims("samples must be >= 1")
     head = np.empty((0, n)) if sub is None else sub.basis
-    return _extend(head, m, [_subseed(seed, i) for i in range(samples)])
+    words = _words([seed])
+    entropy = np.empty((samples, words.shape[1] + 1), np.uint32)
+    entropy[:, :-1], entropy[:, -1] = words, np.arange(samples)
+    return _extend(head, m, _seed_state(entropy, 1)[:, 0])
 
 
 def _sweep(name, P1, P2, sub, m, samples, seed):

@@ -1,10 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import homproj
 from homproj import (
     BadDims,
     DependentInput,
@@ -14,7 +19,9 @@ from homproj import (
     orthonormalize,
     project_point,
     random_frame,
+    verify_example1,
 )
+from homproj.geometry import _rngs, _seed_state, _words
 
 finite_coord = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -112,6 +119,45 @@ def test_frame_sampler_bits_are_pinned():
     assert digest.hexdigest() == (
         "9b1c3e8449595f5baf57ce9558f8b1935642f3e35ccaee2f36a4e64ba3815644"
     )
+
+
+# one-word, two-word (from 2**32) and more-than-four-word (with the index, 2**100) entropy
+SEEDS = [0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100, 2**130 + 5,
+         np.uint32(9), np.int64(2**40), np.uint64(2**64 - 1)]
+
+
+def test_seeding_restates_numpy_bit_for_bit():
+    # the seeding of every frame stack restates numpy's SeedSequence hash and
+    # PCG64 seeding on arrays; a numpy change to either must fail here
+    for seed in SEEDS:
+        words = _words([seed])
+        shifts = range(0, max(int(seed).bit_length(), 1), 32)
+        assert words[0].tolist() == [int(seed) >> k & 0xFFFFFFFF for k in shifts]
+        entropy = np.array([np.append(words[0], i) for i in range(300)], dtype=np.uint32)
+        for n_words in (1, 4, 8):
+            frozen = [np.random.SeedSequence([seed, i]).generate_state(n_words) for i in range(300)]
+            assert _seed_state(entropy, n_words).tolist() == np.array(frozen).tolist()
+        alone = np.random.SeedSequence(seed).generate_state(8)
+        assert _seed_state(words, 8)[0].tolist() == alone.tolist()
+        subseeds = _seed_state(entropy, 1)[:50, 0]
+        for seeds in ([seed], subseeds, subseeds.tolist()):
+            for rng, s in zip(_rngs(seeds), list(seeds)):
+                assert rng.bit_generator.state == np.random.default_rng(s).bit_generator.state
+
+
+def test_a_negative_seed_is_refused_as_numpy_refuses_it():
+    for call in (lambda: random_frame(3, 2, -1), lambda: verify_example1(3, -1),
+                 lambda: frame_containing(random_frame(3, 1, 0), 2, -5)):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
+
+
+def test_importing_homproj_leaves_numpy_random_unloaded():
+    # numpy.random costs every interpreter start ~12 ms; seeding imports it on first use
+    src = str(Path(homproj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, homproj; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
 
 def test_projection_composition():

@@ -34,7 +34,11 @@ from homproj.homothety import DEFAULT_TOL
 from homproj.lp import margin_directions
 from homproj.paraboloid import AXIS_TOL, HORIZONTAL_TOL, _homotheties, _parabolas
 from homproj.polytope import REL_TOL, _canonical_sort, _distances
-from homproj.verify import _subseed
+
+
+def _subseed(seed, index):
+    """Frozen per-frame seed of entry ``index`` of a sweep: the reference for ``verify._frames``."""
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def _scalar_simplex(A, b, c, tol):
@@ -724,27 +728,43 @@ def test_stacked_frames_match_the_per_frame_sampler(n, m):
 
 def test_a_redrawn_entry_keeps_the_bits_of_its_own_draws(monkeypatch):
     # seed 11 draws a dependent pair first, seed 13 a zero pair and then a nan
-    # pair; each must redraw from its own rng alone
-    real = np.random.default_rng
+    # pair; each must redraw from its own rng alone. _extend's draws are rigged
+    # on their way into the Gram-Schmidt hook, so each rigged draw has taken its
+    # normals from the real stream; the frozen sampler's rng takes them too.
     rigged = {
         11: [[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]],
         13: [np.zeros((2, 3)), np.full((2, 3), np.nan)],
     }
+    real_rng, real_gram_schmidt = np.random.default_rng, geometry._gram_schmidt
+    seeds = [10, 11, 12, 13]
+    stacks = []
+
+    def rigged_gram_schmidt(V):
+        # round r orthonormalizes the entries still to do, in seed order
+        todo = [s for s in seeds if len(rigged.get(s, [])) >= len(stacks)]
+        for row, seed in zip(V, todo):
+            if len(stacks) < len(rigged.get(seed, [])):
+                row[:] = rigged[seed][len(stacks)]
+        stacks.append(len(V))
+        return real_gram_schmidt(V)
 
     class Rigged:
         def __init__(self, seed):
-            self.rng, self.first = real(seed), list(rigged.get(seed, []))
+            self.rng, self.first = real_rng(seed), list(rigged.get(seed, []))
 
         def standard_normal(self, shape):
-            return np.array(self.first.pop(0)) if self.first else self.rng.standard_normal(shape)
+            drawn = self.rng.standard_normal(shape)
+            return np.array(self.first.pop(0)) if self.first else drawn
 
-    monkeypatch.setattr(np.random, "default_rng", Rigged)
-    seeds = [10, 11, 12, 13]
+    honest = geometry._extend(np.empty((0, 3)), 2, seeds)
+    monkeypatch.setattr(geometry, "_gram_schmidt", rigged_gram_schmidt)
     B = geometry._extend(np.empty((0, 3)), 2, seeds)
+    assert stacks == [4, 2, 1]  # three rounds: 11 redrawn once, 13 twice
+    monkeypatch.setattr(np.random, "default_rng", Rigged)
     for basis, seed in zip(B, seeds):
         assert basis.tobytes() == _frozen_extend(np.empty((0, 3)), 2, seed).tobytes()
-    monkeypatch.setattr(np.random, "default_rng", real)
-    assert B[[0, 2]].tobytes() == geometry._extend(np.empty((0, 3)), 2, [10, 12]).tobytes()
+    assert B[[0, 2]].tobytes() == honest[[0, 2]].tobytes()
+    assert (B[[1, 3]] != honest[[1, 3]]).all()
 
 
 def test_example1_frame_bases_are_pinned():

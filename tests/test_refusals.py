@@ -19,6 +19,7 @@ from homproj import (
     antipodally_exposed_points,
     apply_homothety,
     detect_homothety,
+    exposed_diameter_near,
     exposed_point_near,
     extreme_points,
     files,
@@ -43,6 +44,12 @@ CASES = {
     "set-equal-dims": (lambda: set_equal(SQUARE, CUBE), DimensionMismatch),
     "detect-homothety-dims": (lambda: detect_homothety(SQUARE, CUBE), DimensionMismatch),
     "support-direction-length": (lambda: support(SQUARE, [1, 0, 0]), DimensionMismatch),
+    "exposed-point-direction-length": (
+        lambda: exposed_point_near(SQUARE, [1, 0, 0], 0.1), DimensionMismatch
+    ),
+    "exposed-diameter-direction-length": (
+        lambda: exposed_diameter_near(CUBE, [1, 0], 0.1), DimensionMismatch
+    ),
     "minkowski-dims": (lambda: minkowski_sum(SQUARE, CUBE), DimensionMismatch),
     "project-frame-ambient": (
         lambda: project_polytope(SQUARE, random_frame(3, 2, 0)), DimensionMismatch
