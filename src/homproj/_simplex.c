@@ -1,9 +1,9 @@
-/* Dense tableau simplex, compiled backend.
+/* Dense tableau simplex, compiled backend: the full-tableau reference loop.
  *
- * Each program of a batch runs the scalar Bland's-rule loop alone, so every
- * result is bit-identical to ``_simplex_py`` (build with -ffp-contract=off:
- * a fused multiply-add in the row update would round differently). Plain C,
- * no Python or numpy headers; ``_simplex_ctypes.py`` binds it.
+ * Each program runs the scalar Bland's-rule loop alone; ``_simplex_py`` keeps only
+ * the nonbasic columns and matches every result bit for bit (build with
+ * -ffp-contract=off: a fused multiply-add in the row update would round differently).
+ * Plain C, no Python or numpy headers; ``_simplex_ctypes.py`` binds it.
  */
 #include <stdint.h>
 #include <stdlib.h>

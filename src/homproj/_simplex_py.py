@@ -2,9 +2,10 @@
 
 ``simplex_maximize_batch`` solves many same-shape LPs in lockstep: every
 pivot is a handful of numpy operations over all LPs still running, and an LP
-leaves the batch as soon as it is optimal or unbounded. Each LP follows
-exactly the pivot sequence of the scalar Bland's-rule loop that the compiled
-kernel in ``_simplex.c`` runs, so results are bit-identical per LP,
+leaves the batch as soon as it is optimal or unbounded. A tableau keeps only its
+nonbasic columns and the rhs (the condensed, or Tucker, tableau), yet each LP
+takes the pivots and float operations of the scalar Bland's-rule loop that
+``_simplex.c`` runs on the full tableau: results are bit-identical per LP,
 whatever else shares its batch. ``simplex_maximize`` is the one-LP case.
 """
 
@@ -16,8 +17,8 @@ UNBOUNDED = 1
 # Pivot tolerance of both kernels; ``lp`` scales every program to max|D| in [0.5, 1).
 PIVOT_TOL = 1e-9
 
-# Largest number of tableau cells (float64) solved in one lockstep chunk.
-# It bounds the working set of large hulls, such as that of a ``minkowski_sum``.
+# Largest number of tableau cells (float64, (m + 1) x (n + 1) per LP) solved in
+# one lockstep chunk. It bounds the working set of large hulls (``minkowski_sum``).
 CHUNK_CELLS = 2**15
 
 
@@ -44,10 +45,8 @@ def simplex_maximize_batch(A, b, c):
     """
     A, b, c = _check_arguments(A, b, c)
     B, m, n = A.shape
-    status = np.full(B, OPTIMAL)
-    obj = np.zeros(B)
-    x = np.zeros((B, n))
-    chunk = max(1, CHUNK_CELLS // ((m + 1) * (n + m + 1)))
+    status, obj, x = np.full(B, OPTIMAL), np.zeros(B), np.zeros((B, n))
+    chunk = max(1, CHUNK_CELLS // ((m + 1) * (n + 1)))
     for start in range(0, B, chunk):
         part = slice(start, start + chunk)
         _solve_chunk(A[part], b, c, status[part], obj[part], x[part])
@@ -65,53 +64,54 @@ def _check_arguments(A, b, c):
 def _solve_chunk(A, b, c, status, obj, x):
     """Lockstep pivots on one chunk; writes results into the output views."""
     B, m, n = A.shape
-    ncols = n + m
-    T = np.zeros((B, m + 1, ncols + 1))
+    big = n + m  # above every variable index
+    T = np.zeros((B, m + 1, n + 1))
     T[:, :m, :n] = A
-    T[:, np.arange(m), np.arange(n, ncols)] = 1.0
-    T[:, :m, ncols] = b
+    T[:, :m, n] = b
     T[:, m, :n] = -c
-    basis = np.broadcast_to(np.arange(n, ncols), (B, m)).copy()
-    ids = np.arange(B)  # output slot of each tableau still in T
+    # per tableau: the basic variable of each row, the variable of each column, the output slot
+    lab = np.empty((B, big + 1), dtype=np.intp)
+    lab[:, :m], lab[:, m:big], lab[:, big] = np.arange(n, big), np.arange(n), np.arange(B)
+    basis, cols = lab[:, :m], lab[:, m:big]
     rows = np.arange(B)  # position in T, for per-LP fancy indexing
+    final_rhs, final_basis = np.zeros((B, m + 1)), np.full((B, m), big)  # of optimal tableaux
 
     while True:
-        # entering column: the lowest index with a reduced cost below -PIVOT_TOL
-        enter = T[:, m, :ncols] < -PIVOT_TOL
+        # entering column: the lowest variable with a reduced cost below -PIVOT_TOL
+        enter = T[:, m, :n] < -PIVOT_TOL
         has_col = enter.any(axis=1)
-        col = enter.argmax(axis=1)
+        col = np.where(enter, cols, big).argmin(axis=1)
 
         # ratio test over rows with a > PIVOT_TOL; ties go to the lowest basic index
-        a = T[rows, :m, col]
-        eligible = (a > PIVOT_TOL) & has_col[:, None]
-        ratio = np.divide(T[:, :m, ncols], a, out=np.full_like(a, np.inf), where=eligible)
+        f = T[rows, :, col]  # the pivot column, objective row included
+        eligible = (f[:, :m] > PIVOT_TOL) & has_col[:, None]
+        ratio = np.divide(T[:, :m, n], f[:, :m], out=np.full((len(f), m), np.inf), where=eligible)
         tied = eligible & (ratio == ratio.min(axis=1)[:, None])
-        row = np.where(tied, basis, ncols).argmin(axis=1)
+        row = np.where(tied, basis, big).argmin(axis=1)
         has_row = tied.any(axis=1)
 
         if not has_row.all():
-            optimal = ~has_col
-            _extract(T[optimal], basis[optimal], ids[optimal], obj, x, n)
-            status[ids[has_col & ~has_row]] = UNBOUNDED
-            T, basis, ids = T[has_row], basis[has_row], ids[has_row]
+            ids = lab[~has_col, big]
+            final_rhs[ids], final_basis[ids] = T[~has_col, :, n], basis[~has_col]
+            status[lab[has_col & ~has_row, big]] = UNBOUNDED
+            T, lab, f = T[has_row], lab[has_row], f[has_row]
             col, row = col[has_row], row[has_row]
-            if not ids.size:
-                return
-            rows = np.arange(ids.size)
+            if not lab.size:
+                break
+            basis, cols = lab[:, :m], lab[:, m:big]
+            rows = np.arange(len(lab))
 
-        # pivot: normalize the pivot row, then subtract f * (pivot row) from
-        # every other row with f != 0; skipping f == 0 keeps signed zeros.
-        # The pivot column needs no explicit zeroing: it is f - f * 1.0 = +0.0.
-        prow = T[rows, row] / T[rows, row, col][:, None]
-        T[rows, row] = prow
-        f = T[rows, :, col]
-        f[rows, row] = 0.0
+        # pivot: the leaving variable takes over column col as e_row, its full-tableau column up to
+        # zero signs (which no decision or rhs entry reads); rows with f == 0 are skipped to keep
+        # signed zeros, and the pivot row is written last
+        piv = f[rows, row]
+        T[rows, :, col] = 0.0
+        T[rows, row, col] = 1.0
+        prow = T[rows, row] / piv[:, None]
         np.subtract(T, f[:, :, None] * prow[:, None, :], out=T, where=(f != 0.0)[:, :, None])
-        basis[rows, row] = col
+        T[rows, row] = prow
+        basis[rows, row], cols[rows, col] = cols[rows, col], basis[rows, row]
 
-
-def _extract(T, basis, ids, obj, x, n):
-    """Objective and primal point of optimal tableaux into their output slots."""
-    obj[ids] = T[:, -1, -1]
-    lp, i = np.nonzero(basis < n)
-    x[ids[lp], basis[lp, i]] = T[lp, i, -1]
+    obj[:] = final_rhs[:, m]
+    lp, i = np.nonzero(final_basis < n)
+    x[lp, final_basis[lp, i]] = final_rhs[lp, i]

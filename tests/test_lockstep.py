@@ -4,6 +4,8 @@ The parity contract is per LP: every program of a batch must give, byte for
 byte (signed zeros included), the status, objective and x that the scalar
 Bland's-rule loop gives for it alone, and the hull and diameter routines
 built on the batch must return the bytes of their one-LP-at-a-time form.
+After every pivot, the numpy kernel's condensed tableau must hold the rhs and
+nonbasic columns of a frozen copy of its full-tableau form.
 A hull of a stack of point sets must not depend on the other sets, and a
 projection sweep that hulls all its shadows at once must write the reports of
 the per-frame sweep. Likewise the frames of a sweep, orthonormalized as one
@@ -19,6 +21,7 @@ matmul, signed zeros included.
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -153,22 +156,44 @@ def _margin_corpus(rng, count, m, n):
     return np.array(out)
 
 
+def _count_chunks(monkeypatch, A, per_chunk):
+    """Caps ``CHUNK_CELLS`` at ``per_chunk`` condensed (m + 1) x (n + 1) tableaux of
+    A's shape; returns the list that records the size of every chunk solved."""
+    _, m, n = A.shape
+    monkeypatch.setattr(_simplex_py, "CHUNK_CELLS", per_chunk * (m + 1) * (n + 1))
+    sizes, solve = [], _simplex_py._solve_chunk
+
+    def counted(A, *rest):
+        sizes.append(len(A))
+        solve(A, *rest)
+
+    monkeypatch.setattr(_simplex_py, "_solve_chunk", counted)
+    return sizes
+
+
+MARGIN_CASES = [
+    (1, 11, 3, None),  # B = 1
+    (7, 1, 2, None),
+    (200, 11, 3, 72),  # 72 tableaux per chunk: 72, 72 and a partial 56
+    (300, 22, 4, None),
+    (150, 15, 3, None),
+    (100, 5, 2, None),
+    (60, 42, 3, None),  # difference-body sized
+]
+
+
 @pytest.mark.parametrize(
-    "count, m, n",
-    [
-        (1, 11, 3),  # B = 1
-        (7, 1, 2),
-        (200, 11, 3),  # 18 x 25 tableaux: 72 per chunk, so three chunks
-        (300, 22, 4),
-        (150, 15, 3),
-        (100, 5, 2),
-        (60, 42, 3),  # difference-body sized
-    ],
+    "count, m, n, per_chunk", MARGIN_CASES, ids=[f"{c}-{m}-{n}" for c, m, n, _ in MARGIN_CASES]
 )
-def test_batch_matches_scalar_on_margin_lps(count, m, n):
+def test_batch_matches_scalar_on_margin_lps(monkeypatch, count, m, n, per_chunk):
     rng = np.random.default_rng(1000 * m + n)
     Ds = _margin_corpus(rng, count, m, n)
-    _assert_batch_matches(*_margin_batch(Ds))
+    A, b, c = _margin_batch(Ds)
+    if per_chunk:
+        sizes = _count_chunks(monkeypatch, A, per_chunk)
+    _assert_batch_matches(A, b, c)
+    if per_chunk:
+        assert sizes == [per_chunk] * (count // per_chunk) + [count % per_chunk]
     deltas, us = margin_directions(Ds)
     for k, D in enumerate(Ds):
         delta, u = _scalar_margin(D)
@@ -177,12 +202,13 @@ def test_batch_matches_scalar_on_margin_lps(count, m, n):
 
 
 def test_batch_matches_scalar_across_small_chunks(monkeypatch):
-    # one direction in R^1 gives 4 x 7 tableaux, two per 80-cell chunk: 41
+    # one direction in R^1 gives 4 x 4 condensed tableaux, two per chunk: 41
     # programs leave a partial last chunk
-    monkeypatch.setattr(_simplex_py, "CHUNK_CELLS", 80)
     rng = np.random.default_rng(5)
-    Ds = _margin_corpus(rng, 41, 1, 1)
-    _assert_batch_matches(*_margin_batch(Ds))
+    A, b, c = _margin_batch(_margin_corpus(rng, 41, 1, 1))
+    sizes = _count_chunks(monkeypatch, A, 2)
+    _assert_batch_matches(A, b, c)
+    assert sizes == [2] * 20 + [1]
 
 
 def test_batch_mixes_unbounded_and_optimal():
@@ -230,6 +256,151 @@ def test_pivot_tolerance_boundary_on_three_solvers(c_kernel):
     # a tolerance one step off either way changes some verdicts: the data
     # sits on the boundary
     assert all(flips.values()), flips
+
+
+def _full_tableau_chunk(A, b, c, record):
+    """Frozen copy of the full-tableau lockstep ``_solve_chunk``, which kept the m
+    basic columns too; calls record(T, basis, slots) before every ratio test.
+    Returns (status, obj, x)."""
+    B, m, n = A.shape
+    ncols = n + m
+    T = np.zeros((B, m + 1, ncols + 1))
+    T[:, :m, :n] = A
+    T[:, np.arange(m), np.arange(n, ncols)] = 1.0
+    T[:, :m, ncols] = b
+    T[:, m, :n] = -c
+    basis = np.broadcast_to(np.arange(n, ncols), (B, m)).copy()
+    ids = np.arange(B)
+    rows = np.arange(B)
+    status, obj, x = np.full(B, OPTIMAL), np.zeros(B), np.zeros((B, n))
+
+    while True:
+        enter = T[:, m, :ncols] < -PIVOT_TOL
+        has_col = enter.any(axis=1)
+        col = enter.argmax(axis=1)
+        record(T, basis, ids)
+
+        a = T[rows, :m, col]
+        eligible = (a > PIVOT_TOL) & has_col[:, None]
+        ratio = np.divide(T[:, :m, ncols], a, out=np.full_like(a, np.inf), where=eligible)
+        tied = eligible & (ratio == ratio.min(axis=1)[:, None])
+        row = np.where(tied, basis, ncols).argmin(axis=1)
+        has_row = tied.any(axis=1)
+
+        if not has_row.all():
+            optimal = ~has_col
+            obj[ids[optimal]] = T[optimal, -1, -1]
+            lp_, i = np.nonzero(basis[optimal] < n)
+            x[ids[optimal][lp_], basis[optimal][lp_, i]] = T[optimal][lp_, i, -1]
+            status[ids[has_col & ~has_row]] = UNBOUNDED
+            T, basis, ids = T[has_row], basis[has_row], ids[has_row]
+            col, row = col[has_row], row[has_row]
+            if not ids.size:
+                return status, obj, x
+            rows = np.arange(ids.size)
+
+        prow = T[rows, row] / T[rows, row, col][:, None]
+        T[rows, row] = prow
+        f = T[rows, :, col]
+        f[rows, row] = 0.0
+        np.subtract(T, f[:, :, None] * prow[:, None, :], out=T, where=(f != 0.0)[:, :, None])
+        basis[rows, row] = col
+
+
+class _CondensedSnapshots:
+    """Stands in for numpy inside ``_simplex_py``: each ``np.divide`` call, the
+    ratio test of one lockstep iteration, records the caller's condensed
+    tableaux ``T`` and labels ``lab`` (basic variable of each row, variable of
+    each column, output slot) under their output slots."""
+
+    def __init__(self):
+        self.by_slot = {}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divide(self, *args, **kwargs):
+        frame = sys._getframe(1).f_locals
+        for T, lab in zip(frame["T"], frame["lab"]):
+            self.by_slot.setdefault(int(lab[-1]), []).append((T.copy(), lab[:-1].copy()))
+        return np.divide(*args, **kwargs)
+
+
+def _general_programs(rng, m, n, signed_zeros_in_A):
+    """150 programs A x <= b, x >= 0: Gaussian A, every other one rounded to 0.1
+    (ratio ties, degenerate pivots); b with -0.0 rows; c rounded on half the draws.
+    Without ``signed_zeros_in_A`` the rounded zeros of A are all +0.0."""
+    A = rng.standard_normal((150, m, n))
+    A[::2] = np.round(A[::2], 1)
+    if not signed_zeros_in_A:
+        A += 0.0
+    b = rng.uniform(0.0, 2.0, m)
+    b[: m // 2] = -0.0
+    c = rng.standard_normal(n)
+    if rng.integers(2):
+        c = np.round(c, 1)
+    return A, b, c
+
+
+@pytest.mark.parametrize("signed_zeros_in_A", [False, True])
+def test_condensed_tableau_is_the_full_tableau_after_every_pivot(
+    monkeypatch, c_kernel, signed_zeros_in_A
+):
+    # Each condensed tableau must hold, byte for byte, the rhs and the nonbasic
+    # columns of the frozen full tableau after every pivot, and every basic
+    # column of the full tableau must be a unit column. A -0.0 in A can survive
+    # in a basic column of the full tableau where the condensed one puts back
+    # +0.0; that zero's sign reaches no decision and no rhs entry, so there the
+    # nonbasic columns must match in value, and in bytes away from zeros.
+    rng = np.random.default_rng(19)
+    re_entries = unbounded = zero_signs = 0
+    for m, n in ((6, 4), (3, 5), (4, 2), (8, 3), (12, 6)):
+        A, b, c = _general_programs(rng, m, n, signed_zeros_in_A)
+        full = {}
+
+        def record(T, basis, ids):
+            for k, slot in enumerate(ids):
+                full.setdefault(int(slot), []).append((T[k].copy(), basis[k].copy()))
+
+        ref = _full_tableau_chunk(A, b, c, record)
+        snapshots = _CondensedSnapshots()
+        got = np.full(len(A), OPTIMAL), np.zeros(len(A)), np.zeros((len(A), n))
+        with monkeypatch.context() as patch:
+            patch.setattr(_simplex_py, "np", snapshots)
+            _simplex_py._solve_chunk(A, b, c, *got)
+        assert sorted(snapshots.by_slot) == sorted(full) == list(range(len(A)))
+        for slot, steps in full.items():
+            assert len(snapshots.by_slot[slot]) == len(steps), slot
+            previous, left = None, set()  # basis before the pivot, every variable that left
+            for (Tf, basis), (Tc, lab) in zip(steps, snapshots.by_slot[slot]):
+                assert sorted(lab) == list(range(n + m))
+                assert lab[:m].tolist() == basis.tolist()
+                assert np.array_equal(Tf[:m, basis], np.eye(m)) and not Tf[m, basis].any()
+                kept = Tf[:, np.append(lab[m:], n + m)]
+                assert _bits(Tc[:, n]) == _bits(kept[:, n]), slot
+                if signed_zeros_in_A:
+                    assert np.array_equal(Tc, kept), slot
+                    nonzero = kept != 0.0
+                    assert _bits(Tc[nonzero]) == _bits(kept[nonzero]), slot
+                    zero_signs += np.count_nonzero(np.signbit(Tc) != np.signbit(kept))
+                else:
+                    assert _bits(Tc) == _bits(kept), slot
+                now = set(basis.tolist())
+                if previous is not None:
+                    re_entries += len((now - previous) & left)
+                    left |= previous - now
+                previous = now
+        # the outputs: the frozen full tableau, the scalar loop and the C kernel
+        for k in range(len(A)):
+            s, o, xk = _scalar_simplex(A[k], b, c, PIVOT_TOL)
+            assert (ref[0][k], _bits(ref[1][k]), _bits(ref[2][k])) == (s, _bits(o), _bits(xk))
+        for one, other in zip(got, ref):
+            assert _bits(one) == _bits(other)
+        for one, other in zip(c_kernel.simplex_maximize_batch(A, b, c), ref):
+            assert _bits(one) == _bits(other)
+        unbounded += np.count_nonzero(ref[0] == UNBOUNDED)
+    assert re_entries > 0 and unbounded > 0
+    assert (zero_signs > 0) == signed_zeros_in_A
 
 
 def _scalar_extreme_points(points):
