@@ -8,7 +8,6 @@ package writes goes through ``_dumps``; non-finite floats become strings.
 
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 
@@ -126,7 +125,7 @@ def paraboloid_to_text(spec):
 
 
 def report_to_text(report):
-    return _dumps(asdict(report))
+    return _dumps(vars(report))  # _finite_only copies every dict and list
 
 
 def read_polytope(path):

@@ -196,8 +196,6 @@ def _support_rows(P, U):
     best = vals.max(axis=1)
     on_face = vals >= (best - REL_TOL * P.scale * norm_u)[:, None]
     margin = best - vals.max(axis=1, where=~on_face, initial=-np.inf)
-    if max(e.tolist(), default=0) <= 0:  # 2^e <= 1: value and margin only shrink back
-        return np.ldexp(best, e), on_face, np.ldexp(margin, e)
     with np.errstate(over="ignore"):  # a value past the float range is inf
         return np.ldexp(best, e), on_face, np.ldexp(margin, e)
 

@@ -16,14 +16,21 @@ from .polytope import _distances, _shadow, extreme_points_many
 
 PARALLEL_TOL = 1e-9
 
+# example 1's fixed pair, x^2 + y^2 <= z and 2x^2 + y^2 <= z, and their body homothety (None)
+_EXAMPLE1 = ParaboloidSpec(np.eye(2)), ParaboloidSpec(np.diag([2.0, 1.0]))
+_EXAMPLE1_RATIO = paraboloid_homothetic(*_EXAMPLE1)
+
 
 @dataclass
 class Report:
     """Outcome of one verification check.
 
-    For universal checks the verdict is pass iff every instance passed; for
-    existential checks (``existential`` True) it is pass iff a witness was
-    found. ``witnesses`` carries JSON-ready records for offline reproduction.
+    One rule gives every verdict: a universal check passes iff every instance
+    passed (``passes == instances_run``), an existential one (``existential``
+    True) iff a witness was found (``passes >= 1``); example 1 also fails when
+    its bodies are homothetic. Only a non-homothetic transfer pair is
+    "not-applicable". ``witnesses`` carries JSON-ready records for offline
+    reproduction.
     """
 
     check_name: str
@@ -33,6 +40,12 @@ class Report:
     verdict: str
     existential: bool = False
     witnesses: list = field(default_factory=list)
+
+
+def _report(name, instances, passes, witnesses, seed=0, existential=False, holds=True):
+    """The one verdict rule of ``Report``; ``holds`` is a further condition (example 1's)."""
+    ok = (passes >= 1 if existential else passes == instances) and holds
+    return Report(name, instances, passes, seed, "pass" if ok else "fail", existential, witnesses)
 
 
 def _projection_record(basis, Q1, Q2, result):
@@ -81,16 +94,8 @@ def _projection_sweep(name, P1, P2, B, seed):
         witnesses.append({"direct_homothety": homothety_record(direct)})
     elif first_bad is None:
         witnesses.append({"converse_tension": True})
-    return Report(
-        check_name=name,
-        instances_run=len(B),
-        passes=len(B) - homothetic_count if existential else homothetic_count,
-        seed=seed,
-        # universal: pass iff no frame is bad; existential: pass iff one is
-        verdict="pass" if (first_bad is not None) == existential else "fail",
-        existential=existential,
-        witnesses=witnesses,
-    )
+    passes = len(B) - homothetic_count if existential else homothetic_count
+    return _report(name, len(B), passes, witnesses, seed, existential)
 
 
 def _frames(n, m, sub, samples, seed):
@@ -145,14 +150,7 @@ def verify_theorem2(P):
         for k, v in enumerate(P.vertices)
         if k not in hit
     ]
-    return Report(
-        check_name="theorem2",
-        instances_run=P.num_vertices,
-        passes=P.num_vertices - len(witnesses),
-        seed=0,
-        verdict="fail" if witnesses else "pass",
-        witnesses=witnesses,
-    )
+    return _report("theorem2", P.num_vertices, P.num_vertices - len(witnesses), witnesses)
 
 
 def verify_no_parallel_diameters(P):
@@ -176,15 +174,7 @@ def verify_no_parallel_diameters(P):
         for i, j, gap in zip(I.tolist(), J.tolist(), gaps.tolist())
         if not gap > PARALLEL_TOL
     ]
-    pairs = len(gaps)
-    return Report(
-        check_name="no_parallel_diameters",
-        instances_run=pairs,
-        passes=pairs - len(witnesses),
-        seed=0,
-        verdict="pass" if not witnesses else "fail",
-        witnesses=witnesses,
-    )
+    return _report("no_parallel_diameters", len(gaps), len(gaps) - len(witnesses), witnesses)
 
 
 def verify_diameter_transfer(P1, P2):
@@ -212,14 +202,9 @@ def verify_diameter_transfer(P1, P2):
         for d in d1
         if frozenset((h.match[d.i], h.match[d.j])) not in pairs2
     ]
-    return Report(
-        check_name="diameter_transfer",
-        instances_run=max(len(d1), len(pairs2)),
-        passes=len(d1) - len(witnesses),
-        seed=0,
-        verdict="pass" if not witnesses and len(d1) == len(pairs2) else "fail",
-        witnesses=witnesses,
-    )
+    # h.match is a bijection: with no witness, d1's distinct pairs map injectively into pairs2
+    passes = len(d1) - len(witnesses)
+    return _report("diameter_transfer", max(len(d1), len(pairs2)), passes, witnesses)
 
 
 def verify_example1(samples, seed):
@@ -230,19 +215,8 @@ def verify_example1(samples, seed):
     solid bodies themselves are not.
     """
     B = _frames(3, 2, None, samples, seed)
-    s1 = ParaboloidSpec(np.eye(2))
-    s2 = ParaboloidSpec(np.diag([2.0, 1.0]))
-    body_ratio = paraboloid_homothetic(s1, s2)
-    _, ratio = _homotheties(_parabolas(s1, B), _parabolas(s2, B))
+    _, ratio = _homotheties(*(_parabolas(spec, B) for spec in _EXAMPLE1))
     witnesses = [{"frame": B[s].tolist()} for s in np.flatnonzero(~(ratio > 0.0))]
     passes = samples - len(witnesses)
-    ok = passes == samples and body_ratio is None
-    witnesses.append({"body_homothety_ratio": body_ratio})
-    return Report(
-        check_name="example1",
-        instances_run=samples,
-        passes=passes,
-        seed=seed,
-        verdict="pass" if ok else "fail",
-        witnesses=witnesses,
-    )
+    witnesses.append({"body_homothety_ratio": _EXAMPLE1_RATIO})
+    return _report("example1", samples, passes, witnesses, seed, holds=_EXAMPLE1_RATIO is None)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from homproj import (
@@ -26,7 +27,7 @@ from homproj import (
     set_equal,
     support,
 )
-from homproj.polytope import _support_rows
+from homproj.polytope import REL_TOL, _distances, _support_rows
 
 
 def test_interior_point_dropped():
@@ -357,3 +358,46 @@ def test_width_nonnegative():
         u = rng.standard_normal(3)
         width = support(P, u).value + support(negate(P), u).value
         assert width >= 0.0
+
+
+def _open_hull_defect(name, points, raises, reason):
+    mark = pytest.mark.xfail(raises=raises, strict=True, reason=reason)
+    return pytest.param(points, marks=mark, id=name)
+
+
+# open defects of near-duplicate rows (ROADMAP trust item 7), pinned until a fix decides the pair
+OPEN_HULL_DEFECTS = [
+    _open_hull_defect(
+        "lost_lp",
+        [[-1.2999999979053902, -0.2000000039793104, 2.0000000003859637], [-1.3, -0.2, 2.0],
+         [0.0, -1.4, 0.8], [-0.1, -1.3, 0.7], [0.3, 0.9, 1.2], [-1.8, 0.4, -1.0]],
+        KernelError, "a margin LP of the near-duplicate rows is lost to rounding",
+    ),
+    _open_hull_defect(
+        "one_vertex_left",
+        [[424148.11, -467378.84], [424148.11000000016, -467378.8400000002],
+         [424147.93, -467378.95]],
+        AssertionError, "both rows of a near-duplicate pair are dropped: one vertex is left",
+    ),
+    _open_hull_defect(
+        "no_row_left",
+        [[6.633728468172425e+93, -5.575019412920714e+93, 1.9091473298488146e+94],
+         [9.122939166139137e+93, -5.685367304818763e+93, 1.8610854852465955e+94],
+         [9.122939164959114e+93, -5.685367306654015e+93, 1.8610854855416868e+94],
+         [6.633728467039167e+93, -5.575019411544267e+93, 1.9091473296360514e+94]],
+        EmptyInput, "both near-duplicate pairs are dropped: no row is left",
+    ),
+]
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+@pytest.mark.parametrize("points", OPEN_HULL_DEFECTS)
+def test_hull_covers_every_input_point(points, kernel):
+    X = np.array(points)
+    P = extreme_points(X)
+    # in units of the input diameter from X[0]: nnls over the vertices with a sum-to-one row
+    origin, diam = X[0], float(_distances(X).max())
+    A = np.vstack([((P.vertices - origin) / diam).T, np.ones(P.num_vertices)])
+    for x in (X - origin) / diam:
+        _, gap = nnls(A, np.append(x, 1.0))
+        assert gap <= 10 * REL_TOL

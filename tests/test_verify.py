@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,8 +17,8 @@ from homproj import (
     verify_theorem1,
     verify_theorem2,
 )
-from homproj import exposed, verify
-from homproj.files import report_to_text
+from homproj import exposed, homothety, verify
+from homproj.files import _dumps, report_to_text
 from homproj.homothety import detect_homothety
 from homproj.polytope import _distances
 
@@ -229,3 +229,62 @@ def test_reports_are_deterministic(cube):
     b = report_to_text(verify_theorem1(cube, P2, 2, 25, 9))
     assert a == b
     assert report_to_text(verify_example1(30, 4)) == report_to_text(verify_example1(30, 4))
+
+
+def _report_branches(monkeypatch, cube, octahedron, square, triangle):
+    """(verdict, report) of every report kind and verdict branch, patches undone after each."""
+    moved = apply_homothety(cube, np.array([1.0, 2.0, 3.0]), 2.0)
+    detect, diameters = homothety.detect_homothety, exposed.exposed_diameters
+
+    def second_frame_fails(P1, P2):
+        calls.append(None)
+        return None if len(calls) == 3 else detect(P1, P2)
+
+    def no_direct(P1, P2):
+        return None if P1.dim == 3 else detect(P1, P2)
+
+    def drop_last_of(Q):
+        return lambda P: diameters(P)[:-1] if P is Q else diameters(P)
+
+    P4 = random_polytope(4, 10, 1)
+    P5 = apply_homothety(P4, np.array([0.5, -1.0, 2.0, 0.0]), 3.0)
+    segment = extreme_points([[0.0, 0.0], [1.0, 1.0]])
+    calls = []
+    runs = [
+        ("pass", None, lambda: verify_theorem1(cube, moved, 2, 10, 0)),
+        ("fail", ("detect_homothety", second_frame_fails), lambda: verify_theorem1(cube, moved, 2, 6, 0)),
+        ("pass", None, lambda: verify_theorem1(cube, octahedron, 2, 20, 3)),
+        ("fail", ("detect_homothety", no_direct), lambda: verify_theorem1(cube, moved, 2, 6, 7)),
+        ("pass", None, lambda: verify_corollary1(P4, P5, random_frame(4, 1, 3), 3, 12, 0)),
+        ("fail", ("exposed_diameters", lambda P: diameters(P)[:1]), lambda: verify_theorem2(square)),
+        ("pass", None, lambda: verify_no_parallel_diameters(segment)),
+        ("not-applicable", None, lambda: verify_diameter_transfer(square, triangle)),
+        ("pass", None, lambda: verify_diameter_transfer(moved, cube)),
+        ("fail", ("exposed_diameters", drop_last_of(cube)), lambda: verify_diameter_transfer(moved, cube)),
+        ("fail", ("exposed_diameters", drop_last_of(moved)), lambda: verify_diameter_transfer(moved, cube)),
+        ("pass", None, lambda: verify_example1(40, 2)),
+    ]
+    for verdict, patch, run in runs:
+        with monkeypatch.context() as m:
+            if patch is not None:
+                m.setattr(verify, *patch)
+            yield verdict, run()
+
+
+def test_report_text_is_the_dataclass_dump_on_every_branch(
+    monkeypatch, cube, octahedron, square, triangle
+):
+    reports = []
+    for verdict, report in _report_branches(monkeypatch, cube, octahedron, square, triangle):
+        assert report.verdict == verdict
+        # frozen writer: a deep copy by ``asdict``, then ``_dumps``
+        assert report_to_text(report) == _dumps(asdict(report))
+        reports.append(report)
+    universal_fail, witness, tension = reports[1], reports[2], reports[3]
+    assert (universal_fail.existential, universal_fail.passes) == (False, 5)
+    assert witness.existential and "projection_1" in witness.witnesses[0]
+    assert tension.existential and tension.witnesses == [{"converse_tension": True}]
+    assert reports[6].instances_run == 0  # one diameter: no pair to compare
+    # P1 keeps one diameter fewer: nothing unmatched, yet P2 has one more
+    fewer = reports[10]
+    assert fewer.witnesses == [] and fewer.passes == fewer.instances_run - 1
