@@ -14,8 +14,8 @@ from . import files, verify
 from .errors import KernelError
 from .exposed import antipodally_exposed_points, exposed_diameters
 from .geometry import random_frame
-from .homothety import DEFAULT_TOL, detect_homothety, homothety_record
-from .polytope import minkowski_sum, project_polytope, random_polytope, support
+from .homothety import detect_homothety, homothety_record
+from .polytope import REL_TOL, minkowski_sum, project_polytope, random_polytope, support
 
 
 def _read_polytope(path):
@@ -35,8 +35,6 @@ def _parse_direction(text):
         u = np.array([float(t) for t in text.split(",")])
     except ValueError:
         raise KernelError(f"bad direction {text!r}; expected comma-separated numbers")
-    if not np.all(np.isfinite(u)):
-        raise KernelError(f"bad direction {text!r}; entries must be finite")
     return u
 
 
@@ -134,7 +132,7 @@ COMMANDS = [
          v.tolist() for v in antipodally_exposed_points(_read_polytope(a.polytope))
      ]}),
     ("homothety", "detect a homothety between two polytopes",
-     PAIR + [(("--tol",), {"type": float, "default": DEFAULT_TOL})], _homothety),
+     PAIR + [(("--tol",), {"type": float, "default": REL_TOL})], _homothety),
     ("verify-theorem1", "projection sweep over random m-frames",
      PAIR + M + SAMPLES + SEED,
      lambda a: verify.verify_theorem1(*_read_pair(a), a.m, a.samples, a.seed)),

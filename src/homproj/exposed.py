@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
-from .lp import _dots, margin_direction, margin_directions
+from .errors import NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
+from .lp import _dots, _vector, margin_direction, margin_directions
 from .polytope import REL_TOL, _apart, _support_rows
 
 PERTURB_RETRIES = 64
@@ -37,9 +37,7 @@ class ExposedDiameter:
 
 def is_exposed(P, v):
     """Whether vertex v is exposed; returns (flag, witness direction, margin)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (P.dim,):
-        raise DimensionMismatch(f"vertex length {v.shape} vs dim {P.dim}")
+    v = _vector(v, P.dim, "vertex")
     hits = np.flatnonzero((P.vertices == v).all(axis=1))
     if hits.size == 0:
         raise NotAVertex(f"{v.tolist()} is not a vertex of the polytope")
@@ -69,9 +67,7 @@ def _diameters_at(P, U):
 
 def _perturbation_search(dim, f, eps, seed, accept):
     """The first non-None accept(g), over f and then its perturbations g."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (dim,):
-        raise DimensionMismatch(f"direction length {f.shape} vs dim {dim}")
+    f = _vector(f, dim, "direction")
     if not abs(np.linalg.norm(f) - 1.0) <= 1e-9:
         raise ZeroDirection("f must be a unit vector")
     if not 0.0 < eps < math.inf:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, DependentInput, DimensionMismatch, EmptyInput
-from .lp import _binade, _dots
+from .errors import BadDims, BadNumber, DependentInput, EmptyInput
+from .lp import _binade, _dots, _vector
 
 GRAM_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -87,13 +87,12 @@ def orthonormalize(vectors):
 
 
 def project_point(frame, p):
-    """Coordinates of the orthogonal projection of p in the frame basis."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (frame.ambient_dim,):
-        raise DimensionMismatch(
-            f"point of length {p.shape} vs ambient dimension {frame.ambient_dim}"
-        )
-    return frame.basis @ p
+    """Coordinates of the orthogonal projection of p in the frame basis; BadNumber unless finite."""
+    with np.errstate(all="ignore"):  # a non-finite point, or an overflow, fails the check
+        q = frame.basis @ _vector(p, frame.ambient_dim, "point")
+    if not np.isfinite(q).all():
+        raise BadNumber("non-finite point coordinates or projection")
+    return q
 
 
 def random_frame(n, m, seed):

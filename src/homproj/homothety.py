@@ -6,9 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTolerance, DimensionMismatch, ZeroLambda
+from .lp import _vector
 from .polytope import REL_TOL, Polytope, _distances
-
-DEFAULT_TOL = REL_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,11 +26,9 @@ class HomothetyResult:
 
 def apply_homothety(P, z, ratio):
     """Image of P under x -> z + ratio * x, vertex count kept; BadNumber past the Polytope bound."""
-    z = np.asarray(z, dtype=float)
     if ratio == 0.0:
         raise ZeroLambda("homothety ratio must be nonzero")
-    if z.shape != (P.dim,):
-        raise DimensionMismatch(f"shift length {z.shape} vs dim {P.dim}")
+    z = _vector(z, P.dim, "shift")
     with np.errstate(all="ignore"):  # a non-finite ratio or shift, or an overflow, fails the bound
         V = z + ratio * P.vertices
     return Polytope(V)
@@ -63,27 +60,31 @@ def _match_bijection(V1, V2, dist_tol):
     return match, float(best.max())
 
 
-def set_equal(P1, P2, tol=DEFAULT_TOL):
-    """True iff the vertex sets match bijectively within tol * scale."""
+def _same_count(P1, P2, tol):
+    """Whether P1 and P2 have as many vertices: the admission of every polytope pair.
+    DimensionMismatch if their dims differ, BadTolerance unless tol is finite and positive."""
     if P1.dim != P2.dim:
         raise DimensionMismatch(f"dims {P1.dim} vs {P2.dim}")
-    if P1.num_vertices != P2.num_vertices:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise BadTolerance(f"tolerance must be finite and positive, got {tol}")
+    return P1.num_vertices == P2.num_vertices
+
+
+def set_equal(P1, P2, tol=REL_TOL):
+    """True iff the vertex sets match bijectively within tol * scale."""
+    if not _same_count(P1, P2, tol):
         return False
     return _match_bijection(P1.vertices, P2.vertices, tol * max(P1.scale, P2.scale)) is not None
 
 
-def detect_homothety(P1, P2, tol=DEFAULT_TOL):
+def detect_homothety(P1, P2, tol=REL_TOL):
     """Find (z, lambda) with P1 = z + lambda * P2, or None.
 
     |lambda| is fixed by the diameter ratio (None if it is 0 or inf: no float lambda exists)
     and the translation by the vertex centroids (both are homothety covariant); the positive
     sign is tried first, so centrally symmetric pairs deterministically report lambda > 0.
     """
-    if P1.dim != P2.dim:
-        raise DimensionMismatch(f"dims {P1.dim} vs {P2.dim}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise BadTolerance(f"tolerance must be finite and positive, got {tol}")
-    if P1.num_vertices != P2.num_vertices:
+    if not _same_count(P1, P2, tol):
         return None
     if P1.num_vertices == 1:
         z = P1.vertices[0] - P2.vertices[0]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _simplex_py
 from ._simplex_py import OPTIMAL
-from .errors import KernelError
+from .errors import DimensionMismatch, KernelError
 
 if os.environ.get("HOMPROJ_FORCE_PYTHON"):
     _kernel, BACKEND = _simplex_py, "python"
@@ -45,6 +45,14 @@ def _binade(X, axis):
     """
     m, e = np.frexp(np.abs(X).max(axis=axis, initial=0.0, keepdims=True))
     return np.ldexp(X, -e), e, m
+
+
+def _vector(x, dim, what):
+    """x as a float vector of length dim, else DimensionMismatch: the admission of every vector."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatch(f"{what} length {x.shape} vs dim {dim}")
+    return x
 
 
 def _dots(X, Y):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BadDims, MixedVariants
 from .homothety import HomothetyResult
-from .lp import _dots
+from .lp import _dots, _vector
 
 HORIZONTAL_TOL = 1e-10
 AXIS_TOL = 1e-9
@@ -132,15 +132,17 @@ def paraboloid_homothetic(s1, s2):
     reported ratio is the entrywise proportion A1/A2 (so identity matrices
     against 2*identity give 0.5), and A1 - ratio * A2 must vanish to within
     PROPORTION_TOL * max|A1|. A negative ratio is impossible because the
-    reflected paraboloid opens downward.
+    reflected paraboloid opens downward; a ratio of 0 or inf gives None, as no
+    float ratio exists.
     """
     A1, A2 = s1.coeff, s2.coeff
-    i, j = np.unravel_index(np.abs(A1).argmax(), A1.shape)
-    ratio = A1[i, j] / A2[i, j]
-    if ratio <= 0.0:
-        return None
-    if np.max(np.abs(A1 - ratio * A2)) > PROPORTION_TOL * abs(A1[i, j]):
-        return None
+    i, j = np.unravel_index(np.abs(A1).argmax(), A1.shape)  # on the diagonal: A2[i, j] > 0
+    with np.errstate(over="ignore"):  # an entry past the float range reads inf
+        ratio = A1[i, j] / A2[i, j]
+        if not 0.0 < ratio < math.inf:
+            return None
+        if np.max(np.abs(A1 - ratio * A2)) > PROPORTION_TOL * abs(A1[i, j]):
+            return None
     return float(ratio)
 
 
@@ -150,8 +152,7 @@ def shadow_support(spec, frame, d):
     Finite only when d has a negative component along the projected z-axis;
     returns inf otherwise.
     """
-    d = np.asarray(d, dtype=float)
-    v = d @ frame.basis
+    v = _vector(d, frame.sub_dim, "direction") @ frame.basis
     if v[2] >= 0.0:
         return math.inf if np.linalg.norm(v) > 0 else 0.0
     vxy = v[:2]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDims, BadNumber, DimensionMismatch, EmptyInput, ZeroDirection
-from .lp import _binade, _dots, margin_directions
+from .lp import _binade, _dots, _vector, margin_directions
 
 REL_TOL = 1e-9
 
@@ -103,20 +103,15 @@ def _canonical_sort(V, scale):
     return V[np.lexsort(np.concatenate([V.T[::-1], cells.T[::-1]]))]
 
 
-def _point_array(points):
-    """points as a float array; DimensionMismatch if ragged, EmptyInput if empty."""
+def _rows(points):
+    """points as a 2-D float array inside ``_bounded``: the rows a Polytope admits.
+    DimensionMismatch if ragged or not 2-D, EmptyInput if empty."""
     try:
         P = np.asarray(points, dtype=float)
     except ValueError as exc:
         raise DimensionMismatch("points do not share a common length") from exc
     if P.size == 0:
         raise EmptyInput("no input points")
-    return P
-
-
-def _rows(points):
-    """points as a 2-D float array inside ``_bounded``: the rows a Polytope admits."""
-    P = _point_array(points)
     if P.ndim != 2:
         raise DimensionMismatch("points do not share a common length")
     return _bounded(P)
@@ -137,9 +132,7 @@ def extreme_points(points):
     certified by the separation LP (margin > REL_TOL * scale). This is the
     one-set case of ``extreme_points_many``.
     """
-    P = _point_array(points)
-    (hull,) = extreme_points_many([P[None, :] if P.ndim == 1 else P])
-    return hull
+    return extreme_points_many([points])[0]
 
 
 def extreme_points_many(stack):
@@ -202,10 +195,7 @@ def _support_rows(P, U):
 
 def support(P, u):
     """Support value, face and margin of P at a finite nonzero u; one row of ``_support_rows``."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (P.dim,):
-        raise DimensionMismatch(f"direction length {u.shape} vs dim {P.dim}")
-    value, on_face, margin = _support_rows(P, u[None])
+    value, on_face, margin = _support_rows(P, _vector(u, P.dim, "direction")[None])
     return SupportResult(value.item(), tuple(np.flatnonzero(on_face).tolist()), margin.item())
 
 

@@ -32,13 +32,13 @@ def octahedron():
 
 @pytest.fixture(scope="session")
 def c_kernel(tmp_path_factory):
-    """``_simplex.c`` compiled with the flags setup.py gives, in a temp dir."""
+    """``_simplex.c`` compiled with the flags setup.py gives, warnings as errors, in a temp dir."""
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler on PATH")
     out = tmp_path_factory.mktemp("kernel")
     source = Path(homproj.__file__).with_name("_simplex.c")
     subprocess.run(
-        ["gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
+        ["gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
          str(source), "-o", str(out / "_simplex_c.so")],
         check=True,
     )

@@ -5,18 +5,20 @@ from homproj import (
     BadTolerance,
     ZeroLambda,
     apply_homothety,
+    cli,
     detect_homothety,
     extreme_points,
     random_frame,
     random_polytope,
     set_equal,
 )
-from homproj.homothety import DEFAULT_TOL
 from homproj.polytope import REL_TOL, _distances, _shadow, extreme_points_many
 
 
 def test_default_tolerance_is_the_polytope_tolerance():
-    assert DEFAULT_TOL is REL_TOL
+    defaults = [f.__defaults__ for f in (set_equal, detect_homothety)]
+    assert defaults == [(REL_TOL,), (REL_TOL,)]
+    assert cli.build_parser().parse_args(["homothety", "a", "b"]).tol is REL_TOL
 
 
 def test_apply_homothety_square(square):

@@ -33,7 +33,6 @@ from homproj import _simplex_py, files, geometry, homothety, lp, verify
 from homproj._simplex_py import OPTIMAL, PIVOT_TOL, UNBOUNDED, simplex_maximize_batch
 from homproj.errors import DependentInput
 from homproj.geometry import GRAM_TOL, RANK_TOL
-from homproj.homothety import DEFAULT_TOL
 from homproj.lp import margin_directions
 from homproj.paraboloid import AXIS_TOL, HORIZONTAL_TOL, _homotheties, _parabolas
 from homproj.polytope import REL_TOL, _canonical_sort, _distances
@@ -804,7 +803,7 @@ def _fail_second_frame(monkeypatch):
     """Detect no homothety on the second frame (the third call): a universal fail."""
     calls = []
 
-    def third_fails(P1, P2, tol=DEFAULT_TOL):
+    def third_fails(P1, P2, tol=REL_TOL):
         calls.append(None)
         return None if len(calls) == 3 else homothety.detect_homothety(P1, P2, tol)
 
@@ -815,7 +814,7 @@ def _fail_second_frame(monkeypatch):
 def _hide_direct_homothety(monkeypatch):
     """Find no homothety between the 3-D bodies: converse tension."""
 
-    def no_direct(P1, P2, tol=DEFAULT_TOL):
+    def no_direct(P1, P2, tol=REL_TOL):
         return None if P1.dim == 3 else homothety.detect_homothety(P1, P2, tol)
 
     for module in (verify, hp):

@@ -5,6 +5,7 @@ import pytest
 
 from homproj import (
     BadNumber,
+    BadTolerance,
     DependentInput,
     Frame,
     Polytope,
@@ -14,11 +15,15 @@ from homproj import (
     exposed_point_near,
     extreme_points,
     orthonormalize,
+    project_point,
+    random_frame,
+    set_equal,
     support,
 )
 
 SQUARE = extreme_points([[0, 0], [1, 0], [0, 1], [1, 1]])
 HUGE = extreme_points([[0, 0], [1e200, 0], [0, 1e200]])
+SHIFTED = extreme_points(SQUARE.vertices + 0.3)
 TIED = [1.0, 0.0]  # an edge normal of SQUARE: only perturbed directions expose a vertex
 
 CASES = {
@@ -41,6 +46,10 @@ CASES = {
     "polytope-nan": (lambda: Polytope([[np.nan, 0.0], [1.0, 1.0]]), BadNumber),
     "polytope-inf": (lambda: Polytope([[0.0, -np.inf]]), BadNumber),
     "polytope-past-bound": (lambda: Polytope([[1e308, 0.0], [-1e308, 0.0]]), BadNumber),
+    "project-point-nan": (lambda: project_point(random_frame(3, 2, 0), [np.nan, 0, 0]), BadNumber),
+    "project-point-inf": (lambda: project_point(random_frame(3, 1, 0), [np.inf, 0, 0]), BadNumber),
+    "set-equal-nan-tol": (lambda: set_equal(SQUARE, SHIFTED, np.nan), BadTolerance),
+    "set-equal-inf-tol": (lambda: set_equal(SQUARE, SHIFTED, np.inf), BadTolerance),
 }
 
 

@@ -189,6 +189,17 @@ def test_paraboloid_homothetic_is_scale_invariant(s):
     assert paraboloid_homothetic(ParaboloidSpec(A), ParaboloidSpec(A / 3.0)) == pytest.approx(3.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a1, a2", [
+    (1e200 * np.eye(2), 1e-200 * np.diag([2.0, 1.0])),
+    (1e300 * np.eye(2), 1e-300 * np.eye(2)),
+], ids=["1e200-vs-stretched-1e-200", "1e300-vs-1e-300"])
+@pytest.mark.parametrize("swap", [False, True], ids=["given", "swapped"])
+def test_paraboloid_ratio_past_the_float_range_is_no_homothety(a1, a2, swap):
+    pair = [ParaboloidSpec(a1), ParaboloidSpec(a2)]
+    assert paraboloid_homothetic(*(pair[::-1] if swap else pair)) is None
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ParaboloidSpec(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric

@@ -8,6 +8,7 @@ import pytest
 
 from homproj import (
     BadDims,
+    BadTolerance,
     DependentInput,
     DimensionMismatch,
     EmptyInput,
@@ -34,14 +35,19 @@ from homproj import (
     verify_no_parallel_diameters,
     verify_theorem1,
 )
+from homproj.paraboloid import shadow_support
 
 SQUARE = extreme_points([[0, 0], [1, 0], [0, 1], [1, 1]])
 CUBE = extreme_points([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 POINT = extreme_points([[3.0, 4.0]])
+SHIFTED = extreme_points(SQUARE.vertices + 0.3)
 
 CASES = {
     "homothety-shift-length": (lambda: apply_homothety(SQUARE, [0, 0, 0], 2.0), DimensionMismatch),
     "set-equal-dims": (lambda: set_equal(SQUARE, CUBE), DimensionMismatch),
+    "set-equal-zero-tol": (lambda: set_equal(SQUARE, SHIFTED, 0.0), BadTolerance),
+    "set-equal-negative-tol": (lambda: set_equal(SQUARE, SHIFTED, -1.0), BadTolerance),
+    "extreme-points-flat": (lambda: extreme_points([1.0, 2.0]), DimensionMismatch),
     "detect-homothety-dims": (lambda: detect_homothety(SQUARE, CUBE), DimensionMismatch),
     "support-direction-length": (lambda: support(SQUARE, [1, 0, 0]), DimensionMismatch),
     "exposed-point-direction-length": (
@@ -60,6 +66,10 @@ CASES = {
     ),
     "frame-3d-basis": (lambda: Frame(np.zeros((1, 2, 3))), BadDims),
     "spec-not-2x2": (lambda: ParaboloidSpec(np.eye(3)), BadDims),
+    "shadow-support-direction-length": (
+        lambda: shadow_support(ParaboloidSpec(np.eye(2)), random_frame(3, 2, 0), [1, 0, 0]),
+        DimensionMismatch,
+    ),
     "sweep-ambient-dims": (lambda: verify_theorem1(SQUARE, CUBE, 2, 1, 0), BadDims),
     "top-level-array": (lambda: files.polytope_from_text("[[0, 0]]"), FormatError),
     "frame-basis-shape": (
