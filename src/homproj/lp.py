@@ -7,11 +7,14 @@ strict separation (extreme point, exposed vertex, exposed diameter). Each
 program is solved at its ``_binade`` scale with the kernel's fixed pivot
 tolerance ``_simplex_py.PIVOT_TOL``.
 
-Callers that need many such programs at once (all k LPs of one hull, all
-pair LPs of one diameter enumeration) pass them together to
+Callers that need many such programs at once (the open LPs of a stack of
+hulls, all pair LPs of one diameter enumeration) pass them together to
 ``margin_directions``, which hands them to the kernel in one batch call. The
 parity contract is per LP: each result is bit-identical to solving that
-program alone, on either backend.
+program alone, on either backend. A hull row that is the lone best of a box
+direction by a gap over twice its tolerance sends no program: that direction
+is feasible, so the optimum clears the tolerance too (``polytope._lone_faces``;
+sets with near-duplicate rows skip that screen).
 
 The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used
 when its library loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDims, MixedVariants
+from .errors import BadDims, MixedVariants, ZeroDirection
 from .homothety import HomothetyResult
 from .lp import _dots, _vector
 
@@ -150,9 +150,12 @@ def shadow_support(spec, frame, d):
     """Support function of the shadow at in-plane direction d (oracle hook).
 
     Finite only when d has a negative component along the projected z-axis;
-    returns inf otherwise.
+    returns inf otherwise. Like ``support``, it refuses a d holding nan or inf (ZeroDirection).
     """
-    v = _vector(d, frame.sub_dim, "direction") @ frame.basis
+    d = _vector(d, frame.sub_dim, "direction")
+    if not np.isfinite(d).all():
+        raise ZeroDirection("support direction must be finite")
+    v = d @ frame.basis
     if v[2] >= 0.0:
         return math.inf if np.linalg.norm(v) > 0 else 0.0
     vxy = v[:2]

@@ -140,38 +140,61 @@ def extreme_points_many(stack):
 
     ``stack`` is an (S, k, n) array or any sequence of S (k_s, n_s) point
     sets. Each set is measured, deduplicated and tolerated on its own scale,
-    exactly as if hulled alone. Sets of one shape share one distance stack,
-    and sets that keep the same number of distinct points share one
-    ``margin_directions`` call; its per-LP parity makes every result
-    independent of the batch it was solved in.
+    exactly as if hulled alone. Sets of one shape share one distance stack.
+    A row certified by a lone support face (``_lone_faces``) is kept without its LP, whose
+    optimum that face's direction already puts over tol: a lone maximiser is exposed, so
+    extreme. The other rows of sets that keep the same number of distinct points share one
+    ``margin_directions`` call; its per-LP parity makes every result independent of the
+    batch it was solved in. Until ROADMAP item 7 lands, a set with two input rows within
+    2^10 tol skips the screen and sends every row to the LP.
     """
     sets = [_rows(points) for points in stack]
     if not sets:
         raise EmptyInput("no point sets")
 
     # drop near-duplicates (the first one stays) so a duplicated extreme point survives
-    scales = [0.0] * len(sets)
+    scales, crowded = np.zeros(len(sets)), np.zeros(len(sets), dtype=bool)
     for _, index in _groups(P.shape for P in sets):
         dist = _distances(np.stack([sets[s] for s in index]))
-        for s, d in zip(index, dist.max(axis=(1, 2)).tolist()):
-            scales[s] = _scale(d)
-        tol = REL_TOL * np.array([scales[s] for s in index])
-        near = np.triu(dist <= tol[:, None, None], 1)
+        scales[index] = [_scale(d) for d in dist.max(axis=(1, 2)).tolist()]
+        tol = REL_TOL * scales[index][:, None, None]
+        crowded[index] = np.triu(dist <= 2**10 * tol, 1).any(axis=(1, 2))
+        near = np.triu(dist <= tol, 1)
         for j in np.flatnonzero(near.any(axis=(1, 2))):
             keep = np.ones(near.shape[1], dtype=bool)
             for i in np.flatnonzero(near[j].any(axis=1)):
                 keep[near[j, i] & keep[i]] = False
             sets[index[j]] = sets[index[j]][keep]
 
-    # all "vertex minus the others" programs of same-count sets in one batch
+    # all open "vertex minus the others" programs of same-count sets in one batch
     for (k, _), index in _groups(V.shape for V in sets):
         if k == 1:
             continue
         V = np.stack([sets[s] for s in index])
-        deltas, _ = margin_directions(_apart(V).reshape(-1, k - 1, V.shape[2]))
-        for s, delta in zip(index, deltas.reshape(len(index), k)):
-            sets[s] = sets[s][delta > REL_TOL * scales[s]]
+        tol = REL_TOL * scales[index]
+        keep = _lone_faces(V, tol) & ~crowded[index][:, None]
+        if not keep.all():
+            deltas, _ = margin_directions(_apart(V)[~keep])
+            keep[~keep] = deltas > np.repeat(tol, k - keep.sum(axis=1))
+        for s, rows in zip(index, keep):
+            sets[s] = sets[s][rows]
     return [Polytope(V) for V in sets]
+
+
+def _lone_faces(V, tol):
+    """(S, k) mask of the rows of V (S, k, n) that are the lone best of a box direction (the
+    2 n^2 sign vectors with one or two nonzero entries) by a gap over 2 tol (S,). The direction
+    is a feasible u of the row's margin LP, so the gap bounds its optimum from below; rows
+    centred on the first one and scaled by 2^-e round the gap by ~1e-15 of the diameter."""
+    I, (i, j) = np.eye(V.shape[2]), np.triu_indices(V.shape[2], 1)
+    U = np.concatenate([I, I[i] + I[j], I[i] - I[j]])
+    X, e, _ = _binade(V - V[:, :1], (1, 2))
+    vals = np.matmul(X, np.concatenate([U, -U]).T)
+    top = np.sort(vals, axis=1)
+    s, d = np.nonzero(top[:, -1] - top[:, -2] > np.ldexp(2.0 * tol, -e[:, 0, 0])[:, None])
+    mask = np.zeros(V.shape[:2], dtype=bool)
+    mask[s, vals.argmax(axis=1)[s, d]] = True
+    return mask
 
 
 def _support_rows(P, U):

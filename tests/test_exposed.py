@@ -236,8 +236,9 @@ def test_exposed_diameter_near_solves_no_lp(monkeypatch, square, triangle, cube,
         for f in np.vstack([np.eye(P.dim), -np.eye(P.dim)]):
             d = exposed_diameter_near(P, f, 1e-3)
             assert np.linalg.norm(f - d.witness) <= 1e-3
+    # the probe is live: an interior point is no lone face of any direction, so it needs an LP
     with pytest.raises(AssertionError, match="LP kernel used"):
-        extreme_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        extreme_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
 
 
 def test_exposed_diameters_square_matches_grid_oracle(square):

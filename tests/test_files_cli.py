@@ -224,13 +224,18 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert main(["hull", near]) == 0
 
 
-def test_cli_failed_margin_lp_exits_2(monkeypatch, square_file, capsys):
-    # a kernel that loses a bounded program reports UNBOUNDED: an input error line, not exit 1
+def test_cli_failed_margin_lp_exits_2(monkeypatch, tmp_path, capsys):
+    # a kernel that loses a bounded program reports UNBOUNDED: an input error line, not exit 1;
+    # the centre of the square is no lone face of any direction, so its LP does run
+    centred = _write(
+        tmp_path, "p.json", '{"dim": 2, "vertices": [[0,0],[1,0],[0,1],[1,1],[0.5,0.5]]}'
+    )
+
     def unbounded(A, b, c):
         return np.full(len(A), UNBOUNDED), np.zeros(len(A)), np.zeros((len(A), A.shape[2]))
 
     monkeypatch.setattr(lp, "_kernel", SimpleNamespace(simplex_maximize_batch=unbounded))
-    assert main(["hull", square_file]) == 2
+    assert main(["hull", centred]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: separation LP reported unbounded: the simplex pivoting failed\n"

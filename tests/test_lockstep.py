@@ -15,7 +15,8 @@ sorts every polytope at its own scale, must give the order the callers' frozen
 sorts gave, except on near-ties of the sort grid. The hull, sweep and
 constructor oracles run on both LP kernels (the ``kernel`` fixture). Every separation
 program and every stacked row product must carry the bytes of its frozen builder or
-matmul, signed zeros included.
+matmul, signed zeros included; a hull row that a frozen copy of the lone-face screen
+certifies must send no program at all.
 """
 
 import hashlib
@@ -662,14 +663,17 @@ def _count_margin_calls(monkeypatch):
 
 
 def test_many_hulls_make_one_lp_call_per_kept_count(monkeypatch):
+    # the LPs sent are the rows that the frozen screen leaves open, at most one call per kept count
     rng = np.random.default_rng(3)
     kinds = ("gauss", "one_point", "near_duplicates", "grid", "collinear") * 2
     stack = np.array([_point_set(rng, kind, 8, 3) for kind in kinds])
-    batched = [c for c in map(len, map(_dedupe_reference, stack)) if c > 1]
+    kept = [len(_dedupe_reference(points)) for points in stack]
+    sent = [np.count_nonzero(_open_rows(points)) for points in stack]
     calls = _count_margin_calls(monkeypatch)
     hp.extreme_points_many(stack)
-    assert len(calls) == len(set(batched)) > 1
-    assert sum(calls) == sum(batched)
+    assert len(calls) == len({k for k, n in zip(kept, sent) if n}) > 1
+    assert sum(calls) == sum(sent)
+    assert 0 < sum(sent) < sum(k for k in kept if k > 1)
 
 
 def test_exposed_diameters_read_all_faces_in_one_support_call(monkeypatch):
@@ -702,6 +706,25 @@ def _dedupe_reference(points):
         if all(dist[i, j] > tol for j in kept):
             kept.append(i)
     return kept
+
+
+def _open_rows(points):
+    """Frozen screen of one hull: a mask of the rows kept by its near-duplicate pass that go to
+    the LP. All of them if two input rows lie within 2^10 tol; else those that no sign vector
+    with one or two nonzero entries has as its lone best by more than 2 tol (values measured
+    from the first kept row: V[i] - V[0], then one sum of two coordinates)."""
+    dist = _distances(points)
+    tol = REL_TOL * (dist.max() or 1.0)
+    V = points[_dedupe_reference(points)]
+    if len(V) == 1 or (dist[np.triu_indices(len(points), 1)] <= 2**10 * tol).any():
+        return np.full(len(V), len(V) > 1)
+    X, lone = V - V[0], np.zeros(len(V), dtype=bool)
+    for u in itertools.product((-1.0, 0.0, 1.0), repeat=V.shape[1]):
+        if 1 <= np.count_nonzero(u) <= 2:
+            vals = sum(u[i] * X[:, i] for i in np.flatnonzero(u))
+            second, best = np.argsort(vals, kind="stable")[-2:]
+            lone[best] |= vals[best] - vals[second] > 2 * tol
+    return ~lone
 
 
 def _per_frame_sweep(name, P1, P2, B, seed):
@@ -1119,11 +1142,16 @@ def test_separation_programs_match_the_frozen_builders(monkeypatch, kernel):
         shift = 10.0 ** rng.uniform(-3.0, 3.0, (20, 1, n)) * rng.standard_normal((20, 1, n))
         stacks.append(10.0 ** rng.uniform(-3.0, 3.0, (20, 1, 1)) * rng.standard_normal((20, k, n))
                       + shift)
+    sent = certified = 0
     for V in stacks:
+        # rows the frozen screen certifies send no program; the others send their frozen ones
         hulls.clear()
         hp.extreme_points_many(V)
-        ((Ds,), _), = hulls
-        assert Ds.tobytes() == _frozen_hull_programs(V).tobytes()
+        open_rows = np.array([_open_rows(points) for points in V])
+        programs = _frozen_hull_programs(V).reshape(*V.shape[:2], -1, V.shape[2])[open_rows]
+        assert [Ds.tobytes() for (Ds,), _ in hulls] == ([programs.tobytes()] if len(programs) else [])
+        sent, certified = sent + open_rows.sum(), certified + (~open_rows).sum()
+    assert sent > 0 and certified > 0
     for P in _corpus_1_2()[::4] + _integer_bodies():
         pairs.clear()
         units.clear()

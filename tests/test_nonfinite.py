@@ -20,10 +20,12 @@ from homproj import (
     set_equal,
     support,
 )
+from homproj.paraboloid import ParaboloidSpec, shadow_support
 
 SQUARE = extreme_points([[0, 0], [1, 0], [0, 1], [1, 1]])
 HUGE = extreme_points([[0, 0], [1e200, 0], [0, 1e200]])
 SHIFTED = extreme_points(SQUARE.vertices + 0.3)
+BOWL = ParaboloidSpec(np.eye(2))
 TIED = [1.0, 0.0]  # an edge normal of SQUARE: only perturbed directions expose a vertex
 
 CASES = {
@@ -50,6 +52,10 @@ CASES = {
     "project-point-inf": (lambda: project_point(random_frame(3, 1, 0), [np.inf, 0, 0]), BadNumber),
     "set-equal-nan-tol": (lambda: set_equal(SQUARE, SHIFTED, np.nan), BadTolerance),
     "set-equal-inf-tol": (lambda: set_equal(SQUARE, SHIFTED, np.inf), BadTolerance),
+    "shadow-support-nan": (lambda: shadow_support(BOWL, random_frame(3, 2, 0), [np.nan, 1.0]),
+                           ZeroDirection),
+    "shadow-support-inf": (lambda: shadow_support(BOWL, random_frame(3, 2, 0), [1.0, -np.inf]),
+                           ZeroDirection),
 }
 
 
