@@ -34,7 +34,8 @@ class Kernel:
         self._solve = solve
 
     def simplex_maximize(self, A, b, c):
-        """One program: the B = 1 case of ``simplex_maximize_batch``."""
+        """One program: the B = 1 case of ``simplex_maximize_batch``, kept only for the kernel
+        tests and the ``TARGETS`` of ``perfbench/tracing.py`` until ROADMAP item 9."""
         status, obj, x = self.simplex_maximize_batch([A], b, c)
         return int(status[0]), obj[0], x[0]
 

@@ -29,7 +29,8 @@ def simplex_maximize(A, b, c):
     Pivoting uses Bland's rule (lowest eligible index; ratio ties broken by
     the lowest basic-variable index), which cannot cycle.
 
-    Returns (status, objective, x).
+    Returns (status, objective, x). Only the kernel tests and the ``TARGETS`` of
+    ``perfbench/tracing.py`` call this B = 1 form, until ROADMAP item 9.
     """
     status, obj, x = simplex_maximize_batch([A], b, c)
     return int(status[0]), obj[0], x[0]

@@ -41,8 +41,8 @@ class ZeroLambda(KernelError):
     """Homothety ratio must be nonzero."""
 
 
-class BadTolerance(KernelError):
-    """A tolerance argument must be positive."""
+class BadTolerance(KernelError, ValueError):
+    """A tolerance argument must be positive and finite."""
 
 
 class MixedVariants(KernelError):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
-from .lp import _dots, _vector, margin_direction, margin_directions
+from .errors import BadTolerance, NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
+from .lp import _dots, _vector, margin_directions
 from .polytope import REL_TOL, _apart, _support_rows
 
 PERTURB_RETRIES = 64
@@ -41,10 +41,9 @@ def is_exposed(P, v):
     hits = np.flatnonzero((P.vertices == v).all(axis=1))
     if hits.size == 0:
         raise NotAVertex(f"{v.tolist()} is not a vertex of the polytope")
-    i = int(hits[0])
     if P.num_vertices == 1:
         return True, np.eye(P.dim)[0], math.inf
-    delta, u = margin_direction(_apart(P.vertices)[i])
+    (delta,), (u,) = margin_directions(_apart(P.vertices)[hits[:1]])
     return delta > REL_TOL * P.scale, u, delta
 
 
@@ -71,7 +70,7 @@ def _perturbation_search(dim, f, eps, seed, accept):
     if not abs(np.linalg.norm(f) - 1.0) <= 1e-9:
         raise ZeroDirection("f must be a unit vector")
     if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
+        raise BadTolerance(f"eps must be positive and finite, got {eps}")
     found = accept(f)
     if found is not None:
         return found

@@ -11,10 +11,10 @@ Callers that need many such programs at once (the open LPs of a stack of
 hulls, all pair LPs of one diameter enumeration) pass them together to
 ``margin_directions``, which hands them to the kernel in one batch call. The
 parity contract is per LP: each result is bit-identical to solving that
-program alone, on either backend. A hull row that is the lone best of a box
-direction by a gap over twice its tolerance sends no program: that direction
-is feasible, so the optimum clears the tolerance too (``polytope._lone_faces``;
-sets with near-duplicate rows skip that screen).
+program alone, on either backend. A hull row sends no program when a sign vector
+u with one or two nonzero entries has min(D u) > 2 tol on its own program D: u is
+feasible, so the optimum delta* >= min(D u) clears the tolerance too
+(``polytope.extreme_points_many``; sets with near-duplicate rows skip that screen).
 
 The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used
 when its library loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _simplex_py
 from ._simplex_py import OPTIMAL
-from .errors import DimensionMismatch, KernelError
+from .errors import BadNumber, DimensionMismatch, KernelError
 
 if os.environ.get("HOMPROJ_FORCE_PYTHON"):
     _kernel, BACKEND = _simplex_py, "python"
@@ -50,9 +50,21 @@ def _binade(X, axis):
     return np.ldexp(X, -e), e, m
 
 
+def _floats(x, what):
+    """x as a float array; BadNumber if an entry is no number, DimensionMismatch if ragged."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        try:
+            np.asarray(x)
+        except ValueError:
+            raise DimensionMismatch(f"{what}: nested entries do not share a common length") from exc
+        raise BadNumber(f"{what}: an entry is not a number") from exc
+
+
 def _vector(x, dim, what):
     """x as a float vector of length dim, else DimensionMismatch: the admission of every vector."""
-    x = np.asarray(x, dtype=float)
+    x = _floats(x, what)
     if x.shape != (dim,):
         raise DimensionMismatch(f"{what} length {x.shape} vs dim {dim}")
     return x
@@ -70,7 +82,8 @@ def margin_direction(dirs):
     Solves  max delta  s.t.  u . d >= delta for every row d of ``dirs``,
     |u|_inf <= 1, and returns (delta, u). delta is always >= 0 because
     (u, delta) = (0, 0) is feasible; the program is bounded because delta
-    cannot exceed the 1-norm of any single row.
+    cannot exceed the 1-norm of any single row. Only the kernel tests and the
+    ``TARGETS`` of ``perfbench/tracing.py`` call this B = 1 form, until ROADMAP item 9.
     """
     D = np.atleast_2d(np.asarray(dirs, dtype=float))
     deltas, us = margin_directions(D[None])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDims, BadNumber, DimensionMismatch, EmptyInput, ZeroDirection
-from .lp import _binade, _dots, _vector, margin_directions
+from .lp import _binade, _dots, _floats, _vector, margin_directions
 
 REL_TOL = 1e-9
 
@@ -66,7 +66,8 @@ def _bounded(V):
     """V if each row has |x|_2 < 2^1022 / sqrt(dim), else BadNumber (nan and inf too).
 
     The one coordinate range: orthogonal projection keeps it, and inside it differences,
-    distances, LP deltas and V @ (u / 2^e) stay below 2^1023. V / 2^1022 is exact for |x| >= 1.
+    distances, LP deltas, V @ (u / 2^e) and the hull screen's D u (each entry d_a +- d_b)
+    stay below 2^1023. V / 2^1022 is exact for |x| >= 1.
     """
     if not np.square(V * 2.0**-1022).sum(axis=-1).max(initial=0.0) * V.shape[-1] < 1.0:
         raise BadNumber("non-finite coordinates or |x|_2 >= 2^1022 / sqrt(dim)")
@@ -105,11 +106,9 @@ def _canonical_sort(V, scale):
 
 def _rows(points):
     """points as a 2-D float array inside ``_bounded``: the rows a Polytope admits.
-    DimensionMismatch if ragged or not 2-D, EmptyInput if empty."""
-    try:
-        P = np.asarray(points, dtype=float)
-    except ValueError as exc:
-        raise DimensionMismatch("points do not share a common length") from exc
+    DimensionMismatch if ragged or not 2-D, BadNumber if an entry is no number, EmptyInput
+    if empty."""
+    P = _floats(points, "points")
     if P.size == 0:
         raise EmptyInput("no input points")
     if P.ndim != 2:
@@ -141,12 +140,11 @@ def extreme_points_many(stack):
     ``stack`` is an (S, k, n) array or any sequence of S (k_s, n_s) point
     sets. Each set is measured, deduplicated and tolerated on its own scale,
     exactly as if hulled alone. Sets of one shape share one distance stack.
-    A row certified by a lone support face (``_lone_faces``) is kept without its LP, whose
-    optimum that face's direction already puts over tol: a lone maximiser is exposed, so
-    extreme. The other rows of sets that keep the same number of distinct points share one
-    ``margin_directions`` call; its per-LP parity makes every result independent of the
-    batch it was solved in. Until ROADMAP item 7 lands, a set with two input rows within
-    2^10 tol skips the screen and sends every row to the LP.
+    Row i is kept without its LP if a sign vector u with one or two nonzero entries has
+    min(D u) > 2 tol on its program D = ``_apart(V)[i]``: u is feasible, so delta* >= min(D u).
+    The other rows of sets keeping the same number of distinct points send their D in one
+    ``margin_directions`` call; its per-LP parity makes every result independent of the batch.
+    Until ROADMAP item 7 lands, a set with two input rows within 2^10 tol sends every row.
     """
     sets = [_rows(points) for points in stack]
     if not sets:
@@ -167,34 +165,20 @@ def extreme_points_many(stack):
             sets[index[j]] = sets[index[j]][keep]
 
     # all open "vertex minus the others" programs of same-count sets in one batch
-    for (k, _), index in _groups(V.shape for V in sets):
+    for (k, n), index in _groups(V.shape for V in sets):
         if k == 1:
             continue
-        V = np.stack([sets[s] for s in index])
-        tol = REL_TOL * scales[index]
-        keep = _lone_faces(V, tol) & ~crowded[index][:, None]
+        D, tol = _apart(np.stack([sets[s] for s in index])), REL_TOL * scales[index]
+        I, (i, j) = np.eye(n), np.triu_indices(n, 1)
+        U = np.concatenate([I, I[i] + I[j], I[i] - I[j]])
+        gaps = np.matmul(D, np.concatenate([U, -U]).T).min(axis=2)
+        keep = (gaps > 2.0 * tol[:, None, None]).any(axis=2) & ~crowded[index][:, None]
         if not keep.all():
-            deltas, _ = margin_directions(_apart(V)[~keep])
+            deltas, _ = margin_directions(D[~keep])
             keep[~keep] = deltas > np.repeat(tol, k - keep.sum(axis=1))
         for s, rows in zip(index, keep):
             sets[s] = sets[s][rows]
     return [Polytope(V) for V in sets]
-
-
-def _lone_faces(V, tol):
-    """(S, k) mask of the rows of V (S, k, n) that are the lone best of a box direction (the
-    2 n^2 sign vectors with one or two nonzero entries) by a gap over 2 tol (S,). The direction
-    is a feasible u of the row's margin LP, so the gap bounds its optimum from below; rows
-    centred on the first one and scaled by 2^-e round the gap by ~1e-15 of the diameter."""
-    I, (i, j) = np.eye(V.shape[2]), np.triu_indices(V.shape[2], 1)
-    U = np.concatenate([I, I[i] + I[j], I[i] - I[j]])
-    X, e, _ = _binade(V - V[:, :1], (1, 2))
-    vals = np.matmul(X, np.concatenate([U, -U]).T)
-    top = np.sort(vals, axis=1)
-    s, d = np.nonzero(top[:, -1] - top[:, -2] > np.ldexp(2.0 * tol, -e[:, 0, 0])[:, None])
-    mask = np.zeros(V.shape[:2], dtype=bool)
-    mask[s, vals.argmax(axis=1)[s, d]] = True
-    return mask
 
 
 def _support_rows(P, U):

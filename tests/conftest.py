@@ -31,18 +31,25 @@ def octahedron():
 
 
 @pytest.fixture(scope="session")
-def c_kernel(tmp_path_factory):
-    """``_simplex.c`` compiled with the flags setup.py gives, warnings as errors, in a temp dir."""
+def c_library(tmp_path_factory):
+    """``_simplex.c`` compiled with the flags setup.py gives, warnings as errors, in a temp dir:
+    the path of the ``_simplex_c.so`` it writes."""
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler on PATH")
-    out = tmp_path_factory.mktemp("kernel")
+    library = tmp_path_factory.mktemp("kernel") / "_simplex_c.so"
     source = Path(homproj.__file__).with_name("_simplex.c")
     subprocess.run(
         ["gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
-         str(source), "-o", str(out / "_simplex_c.so")],
+         str(source), "-o", str(library)],
         check=True,
     )
-    return Kernel(out)
+    return library
+
+
+@pytest.fixture(scope="session")
+def c_kernel(c_library):
+    """The ``c_library`` build loaded as a ``Kernel``."""
+    return Kernel(c_library.parent)
 
 
 @pytest.fixture

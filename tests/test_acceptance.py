@@ -202,6 +202,7 @@ def test_criterion_8_detector_oracle_equivalence():
     _report("criterion 8: detector vs support-grid oracle, 50 pairs", disagreements == 0)
 
 
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
 def test_criterion_9_determinism(fixtures, kernel):
     cube = fixtures["cube"]
     moved = hp.apply_homothety(cube, np.array([0.1, -0.2, 0.3]), -1.5)
@@ -215,7 +216,3 @@ def test_criterion_9_determinism(fixtures, kernel):
     ok = ok and runs[0] == runs[1]
     _report("criterion 9: byte-identical seeded reports", ok)
 
-
-@pytest.mark.parametrize("kernel", ["c"], indirect=True)
-def test_criterion_9_determinism_on_the_c_kernel(fixtures, kernel):
-    test_criterion_9_determinism(fixtures, kernel)

@@ -86,6 +86,22 @@ def test_exposed_point_near_square_tied_direction(square):
     assert len(res.face) == 1
 
 
+def test_exposed_point_near_halves_a_step_past_eps(square):
+    # seed 4's first draw d points away from the tied f: f + eps d lands over eps from f once
+    # normalized, so the step halves until it lands within eps, where the square exposes a vertex
+    f, eps = np.array([1.0, 0.0]), 1.0
+    d = np.random.default_rng(np.random.SeedSequence([4, 0])).standard_normal(2)
+    d /= np.linalg.norm(d)
+    units = [g / np.linalg.norm(g) for g in (f + eps / 2.0**h * d for h in range(30))]
+    first = next(h for h, g in enumerate(units) if np.linalg.norm(f - g) <= eps)
+    assert first >= 1
+    v, g = exposed_point_near(square, f, eps, seed=4)
+    assert g.tobytes() == units[first].tobytes()
+    assert np.linalg.norm(f - g) <= eps
+    (i,) = support(square, g).face
+    assert v.tobytes() == square.vertices[i].tobytes()
+
+
 def test_exposed_point_near_already_unique(triangle):
     f = -np.array([1.0, 1.0]) / np.sqrt(2)
     v, g = exposed_point_near(triangle, f, 1e-3)

@@ -1,6 +1,7 @@
 """The lone-face screen of ``extreme_points_many`` never disagrees with the margin LP.
 
-A row that is the lone best of a box direction by a gap over 2 tol is kept without its LP.
+A row whose own margin program D has min(D u) > 2 tol at a sign vector u with one or two
+nonzero entries is the lone best of u by that gap, and is kept without its LP.
 The seeded corpus holds Gaussian sets in R^2..R^4 at scales 1e-3..1e5 and offsets up to 1e6,
 interior-heavy sets, near-duplicate sets as in ROADMAP item 7, and sets with one row whose
 margin is 0.25 to 4 times the tolerance; the acceptance corpora ride along. On it every
@@ -9,13 +10,15 @@ of the hull that solves every LP, and every crowded set must send all of its row
 Both LP kernels run it.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 import homproj as hp
 from homproj import polytope
 from homproj.lp import margin_directions
-from homproj.polytope import REL_TOL, Polytope, _apart, _distances, _lone_faces
+from homproj.polytope import REL_TOL, Polytope, _apart, _distances
 
 
 def _frozen_full_lp_hulls(stack):
@@ -35,6 +38,16 @@ def _frozen_full_lp_hulls(stack):
         hulls.append(Polytope(V[deltas > tol]))
         records.append((V, deltas, tol, bool(np.triu(dist <= 2**10 * tol, 1).any())))
     return hulls, records
+
+
+def _lone_faces(V, tol):
+    """(S, k) mask of the rows of V (S, k, n) that some sign vector u with one or two nonzero
+    entries puts over every other row by more than 2 tol (S,): min(D u) > 2 tol on the row's
+    own program D = ``_apart(V)[s, i]``, the rows the screen keeps without an LP."""
+    U = [u for u in itertools.product((-1.0, 0.0, 1.0), repeat=V.shape[2])
+         if 1 <= np.count_nonzero(u) <= 2]
+    gaps = np.matmul(_apart(V), np.array(U).T).min(axis=2)
+    return (gaps > 2 * tol[:, None, None]).any(axis=2)
 
 
 def _near_duplicate_set(rng, k, n):

@@ -36,10 +36,10 @@ CASES = {
     "support-nan": (lambda: support(SQUARE, [np.nan, 1.0]), ZeroDirection),
     "support-inf": (lambda: support(SQUARE, [np.inf, 1.0]), ZeroDirection),
     "point-near-nan-f": (lambda: exposed_point_near(SQUARE, [np.nan, 1.0], 0.1), ZeroDirection),
-    "point-near-inf-eps": (lambda: exposed_point_near(SQUARE, TIED, np.inf), ValueError),
-    "point-near-nan-eps": (lambda: exposed_point_near(SQUARE, TIED, np.nan), ValueError),
-    "diameter-near-inf-eps": (lambda: exposed_diameter_near(SQUARE, TIED, np.inf), ValueError),
-    "diameter-near-nan-eps": (lambda: exposed_diameter_near(SQUARE, TIED, np.nan), ValueError),
+    "point-near-inf-eps": (lambda: exposed_point_near(SQUARE, TIED, np.inf), BadTolerance),
+    "point-near-nan-eps": (lambda: exposed_point_near(SQUARE, TIED, np.nan), BadTolerance),
+    "diameter-near-inf-eps": (lambda: exposed_diameter_near(SQUARE, TIED, np.inf), BadTolerance),
+    "diameter-near-nan-eps": (lambda: exposed_diameter_near(SQUARE, TIED, np.nan), BadTolerance),
     "homothety-nan-ratio": (lambda: apply_homothety(SQUARE, [0.0, 0.0], np.nan), ValueError),
     "homothety-inf-ratio": (lambda: apply_homothety(SQUARE, [0.0, 0.0], np.inf), ValueError),
     "homothety-nan-shift": (lambda: apply_homothety(SQUARE, [np.nan, 0.0], 2.0), ValueError),

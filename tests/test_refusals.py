@@ -8,6 +8,7 @@ import pytest
 
 from homproj import (
     BadDims,
+    BadNumber,
     BadTolerance,
     DependentInput,
     DimensionMismatch,
@@ -48,6 +49,14 @@ CASES = {
     "set-equal-zero-tol": (lambda: set_equal(SQUARE, SHIFTED, 0.0), BadTolerance),
     "set-equal-negative-tol": (lambda: set_equal(SQUARE, SHIFTED, -1.0), BadTolerance),
     "extreme-points-flat": (lambda: extreme_points([1.0, 2.0]), DimensionMismatch),
+    "extreme-points-ragged": (lambda: extreme_points([[0, 0], [1]]), DimensionMismatch),
+    "extreme-points-non-numeric": (lambda: extreme_points([["a", "b"], ["c", "d"]]), BadNumber),
+    "support-non-numeric": (lambda: support(SQUARE, ["x", 1]), BadNumber),
+    "is-exposed-non-numeric": (lambda: is_exposed(SQUARE, ["x", 0]), BadNumber),
+    "exposed-point-zero-eps": (lambda: exposed_point_near(SQUARE, [1, 0], 0.0), BadTolerance),
+    "exposed-diameter-zero-eps": (
+        lambda: exposed_diameter_near(SQUARE, [1, 0], 0.0), BadTolerance
+    ),
     "detect-homothety-dims": (lambda: detect_homothety(SQUARE, CUBE), DimensionMismatch),
     "support-direction-length": (lambda: support(SQUARE, [1, 0, 0]), DimensionMismatch),
     "exposed-point-direction-length": (
@@ -92,6 +101,13 @@ def test_refusal_raises_its_own_type(case):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
+
+
+def test_number_and_tolerance_refusals_stay_value_errors():
+    # callers that caught the bare ValueError these inputs raised before still catch them
+    for call in (lambda: support(SQUARE, ["x", 1]), lambda: exposed_point_near(SQUARE, [1, 0], 0)):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,11 @@
 """The LP kernel against scipy's solver, plus backend parity."""
 
 import itertools
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,3 +136,19 @@ def test_margin_direction_interior_point_not_separable():
 
 def test_backend_reported():
     assert BACKEND in ("c", "python")
+
+
+def test_the_backend_switch(c_library, tmp_path):
+    # a copy of the package beside its C build loads "c", and "python" with HOMPROJ_FORCE_PYTHON=1
+    package = tmp_path / "homproj"
+    shutil.copytree(Path(hp.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    shutil.copy(c_library, package)
+    env = {k: v for k, v in os.environ.items() if k != "HOMPROJ_FORCE_PYTHON"}
+    env["PYTHONPATH"] = str(tmp_path)
+    probe = "import homproj; print(homproj.__file__); print(homproj.BACKEND)"
+    for force, backend in (({}, "c"), ({"HOMPROJ_FORCE_PYTHON": "1"}, "python")):
+        out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env={**env, **force},
+                             capture_output=True, text=True, check=True).stdout.split("\n")
+        assert Path(out[0]).parent == package
+        assert out[1] == backend
