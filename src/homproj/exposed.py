@@ -3,7 +3,9 @@
 A vertex v is exposed when some direction u has its strict maximum over the
 polytope at v; a vertex pair (x, z) spans an exposed diameter when one u has
 its strict maximum at x and strict minimum at z. Both are decided by the
-separation-margin LP over the |u|_inf <= 1 box.
+separation-margin LP over the |u|_inf <= 1 box. Whether every vertex is an endpoint
+(theorem 2) is a cover question: ``_antipodal_rows`` stops solving pair LPs once each
+vertex is an endpoint or has had all its pairs solved, with the full enumeration's answer.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTolerance, NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
-from .lp import _dots, _vector, margin_directions
+from .lp import _binade, _dots, _vector, margin_directions
 from .polytope import REL_TOL, _apart, _support_rows
 
 PERTURB_RETRIES = 64
@@ -122,19 +124,16 @@ def exposed_diameter_near(P, f, eps, seed=0):
     return _perturbation_search(P.dim, f, eps, seed, lambda g: _diameters_at(P, g[None])[0])
 
 
-def exposed_diameters(P):
-    """All exposed diameters, one per unordered vertex pair that admits one.
+def _pair_diameters(P, I, J):
+    """The exposed diameters of the row pairs (I[t], J[t]), i < j, that admit one, in pair order.
 
     For each pair (v, w) the LP maximizes delta s.t. u.(v - x) >= delta for x != v,
     u.(y - w) >= delta for y != w and |u|_inf <= 1; the pair qualifies iff delta >
     REL_TOL * scale and one ``_diameters_at`` call over all such u / |u| finds it.
     Rows y - w come from ``_apart(-V)``, whose (-w) - (-y) keeps the +0.0 that -(w - y) flips.
+    Every step is per pair, so a pair's verdict does not depend on which others share the call.
     """
-    if P.num_vertices < 2:
-        raise SingletonInput("exposed diameters need at least two vertices")
     V = P.vertices
-    # all k(k-1)/2 pair programs in one batch, pairs in (i, j) row-major order
-    I, J = np.triu_indices(P.num_vertices, 1)
     deltas, us = margin_directions(np.concatenate([_apart(V)[I], _apart(-V)[J]], axis=1))
     keep = deltas > REL_TOL * P.scale
     U, pairs = us[keep], zip(I[keep].tolist(), J[keep].tolist())
@@ -142,7 +141,37 @@ def exposed_diameters(P):
     return [d for d, ij in zip(found, pairs) if d is not None and (d.i, d.j) == ij]
 
 
+def exposed_diameters(P):
+    """All exposed diameters, one per vertex pair that admits one; pairs row-major, in one batch."""
+    if P.num_vertices < 2:
+        raise SingletonInput("exposed diameters need at least two vertices")
+    return _pair_diameters(P, *np.triu_indices(P.num_vertices, 1))
+
+
+def _antipodal_rows(P):
+    """Sorted rows of the endpoints of ``exposed_diameters(P)``, from at most two batches.
+
+    The first solves, for each row i, the pair of i and its likely antipode, the row j != i
+    least in the direction V[i] - centroid; the second, every unsolved pair that touches a row
+    no diameter has reached yet. So each row left out has had all its pairs solved, and as a
+    pair's verdict is its own, the endpoints are those of the full enumeration.
+    """
+    if P.num_vertices < 2:
+        raise SingletonInput("exposed diameters need at least two vertices")
+    W, k = _binade(P.vertices, (0, 1))[0], P.num_vertices  # max|W| < 1: every product is finite
+    far = W @ (W - W.mean(axis=0)).T + np.diag(np.full(k, np.inf))  # far[j, i] = W[j].(W[i] - c)
+    todo = np.eye(k, dtype=bool)[far.argmin(axis=0)]  # row i marks its partner
+    todo = np.triu(todo | todo.T, 1)
+    unsolved, hit = np.triu(~todo, 1), np.zeros(k, bool)
+    while todo.any():
+        for d in _pair_diameters(P, *np.nonzero(todo)):
+            hit[[d.i, d.j]] = True
+        both = hit[:, None] & hit
+        todo, unsolved = unsolved & ~both, unsolved & both
+    return np.flatnonzero(hit).tolist()
+
+
 def antipodally_exposed_points(P):
-    """Vertices appearing as an endpoint of at least one exposed diameter."""
-    endpoints = {k for d in exposed_diameters(P) for k in (d.i, d.j)}
-    return [P.vertices[k] for k in sorted(endpoints)]
+    """Vertices that are an endpoint of some exposed diameter, in row order: the cover
+    ``_antipodal_rows``, which gives the endpoints of ``exposed_diameters`` from fewer pair LPs."""
+    return [P.vertices[k] for k in _antipodal_rows(P)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDims, BadNumber, DependentInput, EmptyInput
-from .lp import _binade, _dots, _vector
+from .lp import _binade, _dots, _floats, _vector
 
 GRAM_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -24,7 +24,7 @@ class Frame:
     basis: np.ndarray
 
     def __post_init__(self):
-        B = np.ascontiguousarray(np.atleast_2d(np.asarray(self.basis, dtype=float)))
+        B = np.ascontiguousarray(np.atleast_2d(_floats(self.basis, "basis")))
         if B.ndim != 2 or B.shape[0] < 1 or B.shape[0] > B.shape[1]:
             raise BadDims(f"bad basis shape {B.shape}")
         if not _orthonormal(B[None])[0]:
@@ -75,7 +75,7 @@ def orthonormalize(vectors):
     Raises DependentInput when the numerical rank (tolerance RANK_TOL relative to the
     largest input norm) is below the vector count, or an entry is not finite.
     """
-    V = np.atleast_2d(np.asarray(vectors, dtype=float))
+    V = np.atleast_2d(_floats(vectors, "vectors"))
     if V.size == 0:
         raise EmptyInput("no vectors to orthonormalize")
     if V.shape[0] > V.shape[1]:

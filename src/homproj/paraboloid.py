@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BadDims, MixedVariants, ZeroDirection
 from .homothety import HomothetyResult
-from .lp import _dots, _vector
+from .lp import _dots, _floats, _vector
 
 HORIZONTAL_TOL = 1e-10
 AXIS_TOL = 1e-9
@@ -32,7 +32,7 @@ class ParaboloidSpec:
     inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = np.ascontiguousarray(np.asarray(self.coeff, dtype=float))
+        A = np.ascontiguousarray(_floats(self.coeff, "coefficient matrix"))
         if A.shape != (2, 2):
             raise BadDims(f"coefficient matrix must be 2x2, got {A.shape}")
         if A[0, 1] != A[1, 0]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDims, SingletonInput
-from .exposed import exposed_diameters
+from .exposed import _antipodal_rows, exposed_diameters
 from .geometry import _extend, _seed_state, _words
 from .homothety import detect_homothety, homothety_record
 from .paraboloid import ParaboloidSpec, _homotheties, _parabolas, paraboloid_homothetic
@@ -141,15 +141,15 @@ def verify_corollary1(P1, P2, sub, m, samples, seed):
 
 
 def verify_theorem2(P):
-    """Every vertex must be antipodally exposed (polytope specialization)."""
+    """Every vertex must be antipodally exposed (polytope specialization).
+
+    A cover question: ``_antipodal_rows`` solves pair LPs only until each vertex is an
+    endpoint or has had all its pairs solved, and reads the endpoints of the full enumeration.
+    """
     if P.num_vertices < 2:
         raise SingletonInput("theorem 2 excludes singletons")
-    hit = {k for d in exposed_diameters(P) for k in (d.i, d.j)}
-    witnesses = [
-        {"missed_vertex": v.tolist()}
-        for k, v in enumerate(P.vertices)
-        if k not in hit
-    ]
+    hit = set(_antipodal_rows(P))
+    witnesses = [{"missed_vertex": v.tolist()} for k, v in enumerate(P.vertices) if k not in hit]
     return _report("theorem2", P.num_vertices, P.num_vertices - len(witnesses), witnesses)
 
 

@@ -20,7 +20,7 @@ from homproj import (
     random_polytope,
     support,
 )
-from homproj.exposed import PERTURB_RETRIES, ExposedDiameter
+from homproj.exposed import PERTURB_RETRIES, ExposedDiameter, _antipodal_rows
 from homproj.polytope import REL_TOL
 
 
@@ -355,3 +355,41 @@ def test_exposed_diameters_measures_the_polytope_once(monkeypatch):
     monkeypatch.setattr(homproj.polytope, "_distances", counted)
     assert len(exposed_diameters(P)) > 1
     assert len(calls) <= 1
+
+
+def _cover_corpus():
+    """Seeded Gaussian polytopes in R^2-R^4, 10-point sphere polytopes in R^3 and R^4 (the
+    benchmark's exposed corpus), and symmetric bodies with many tied pairs."""
+    rng = np.random.default_rng(24)
+    spheres = [rng.standard_normal((10, n)) for n in (3, 4) for _ in range(8)]
+    polygons = [np.exp(2j * np.pi * np.arange(m) / m) for m in (3, 5, 6, 8, 12)]
+    bodies = [
+        [[0, 0], [1, 0], [0, 1], [1, 1]],
+        [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+        np.vstack([np.eye(3), -np.eye(3)]),
+        [[0.0, 0.0], [1.0, 1.0]],
+    ] + [np.column_stack([z.real, z.imag]) for z in polygons]
+    return (
+        [random_polytope(n, 12, 2400 + 10 * n + s) for n in (2, 3, 4) for s in range(10)]
+        + [extreme_points(X / np.linalg.norm(X, axis=1)[:, None]) for X in spheres]
+        + [extreme_points(B) for B in bodies]
+    )
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_the_cover_finds_the_endpoints_of_the_full_enumeration(monkeypatch, kernel):
+    # the partner pairs first, then every pair of a row still no endpoint: at most two calls,
+    # fewer pair LPs than all of them, and the second call needed on some polytope
+    calls, real = [], homproj.exposed.margin_directions
+    monkeypatch.setattr(
+        homproj.exposed, "margin_directions", lambda Ds: calls.append(len(Ds)) or real(Ds)
+    )
+    sent = every = second = 0
+    for P in _cover_corpus():
+        full = sorted({k for d in exposed_diameters(P) for k in (d.i, d.j)})
+        calls.clear()
+        assert _antipodal_rows(P) == full
+        assert 1 <= len(calls) <= 2
+        k = P.num_vertices
+        sent, every, second = sent + sum(calls), every + k * (k - 1) // 2, second + len(calls) - 1
+    assert sent < every and second >= 1

@@ -73,8 +73,14 @@ CASES = {
     "orthonormalize-too-many": (
         lambda: orthonormalize([[1, 0], [0, 1], [1, 1]]), DependentInput
     ),
+    "orthonormalize-non-numeric": (lambda: orthonormalize([["a", 0, 0]]), BadNumber),
+    "orthonormalize-ragged": (lambda: orthonormalize([[1, 0], [0]]), DimensionMismatch),
     "frame-3d-basis": (lambda: Frame(np.zeros((1, 2, 3))), BadDims),
+    "frame-non-numeric": (lambda: Frame([["a", 0, 0]]), BadNumber),
+    "frame-ragged": (lambda: Frame([[1, 0], [0]]), DimensionMismatch),
     "spec-not-2x2": (lambda: ParaboloidSpec(np.eye(3)), BadDims),
+    "spec-non-numeric": (lambda: ParaboloidSpec([["a", 0], [0, 1]]), BadNumber),
+    "spec-ragged": (lambda: ParaboloidSpec([[1, 0], [0]]), DimensionMismatch),
     "shadow-support-direction-length": (
         lambda: shadow_support(ParaboloidSpec(np.eye(2)), random_frame(3, 2, 0), [1, 0, 0]),
         DimensionMismatch,
@@ -88,7 +94,7 @@ CASES = {
     "perturbation-exhausted": (
         lambda: exposed_point_near(SQUARE, [0, 1], 1e-300), PerturbationFailed
     ),
-    # exposed_diameters is the one owner of the singleton refusal
+    # the pair paths, ``exposed_diameters`` and ``_antipodal_rows``, own the singleton refusal
     "antipodal-singleton": (lambda: antipodally_exposed_points(POINT), SingletonInput),
     "no-parallel-singleton": (lambda: verify_no_parallel_diameters(POINT), SingletonInput),
 }
@@ -105,7 +111,13 @@ def test_refusal_raises_its_own_type(case):
 
 def test_number_and_tolerance_refusals_stay_value_errors():
     # callers that caught the bare ValueError these inputs raised before still catch them
-    for call in (lambda: support(SQUARE, ["x", 1]), lambda: exposed_point_near(SQUARE, [1, 0], 0)):
+    for call in (
+        lambda: support(SQUARE, ["x", 1]),
+        lambda: exposed_point_near(SQUARE, [1, 0], 0),
+        lambda: Frame([["a", 0, 0]]),
+        lambda: orthonormalize([["a", 0, 0]]),
+        lambda: ParaboloidSpec([["a", 0], [0, 1]]),
+    ):
         with pytest.raises(ValueError):
             call()
 

@@ -107,7 +107,8 @@ def test_theorem2_reports_missed_vertices_in_vertex_order(monkeypatch, square):
         ([0.0, 0.0], [1.0, 1.0]),
         ([0.0, 1.0], [1.0, 0.0]),
     ]
-    monkeypatch.setattr(verify, "exposed_diameters", lambda P: diagonals[:1])
+    # the cover reaches only the first diagonal's endpoints
+    monkeypatch.setattr(verify, "_antipodal_rows", lambda P: [diagonals[0].i, diagonals[0].j])
     rep = verify_theorem2(square)
     assert (rep.instances_run, rep.passes, rep.verdict) == (4, 2, "fail")
     assert rep.witnesses == [{"missed_vertex": [0.0, 1.0]}, {"missed_vertex": [1.0, 0.0]}]
@@ -234,7 +235,9 @@ def test_reports_are_deterministic(cube):
 def _report_branches(monkeypatch, cube, octahedron, square, triangle):
     """(verdict, report) of every report kind and verdict branch, patches undone after each."""
     moved = apply_homothety(cube, np.array([1.0, 2.0, 3.0]), 2.0)
-    detect, diameters = homothety.detect_homothety, exposed.exposed_diameters
+    detect, diameters, cover = (
+        homothety.detect_homothety, exposed.exposed_diameters, exposed._antipodal_rows
+    )
 
     def second_frame_fails(P1, P2):
         calls.append(None)
@@ -256,7 +259,7 @@ def _report_branches(monkeypatch, cube, octahedron, square, triangle):
         ("pass", None, lambda: verify_theorem1(cube, octahedron, 2, 20, 3)),
         ("fail", ("detect_homothety", no_direct), lambda: verify_theorem1(cube, moved, 2, 6, 7)),
         ("pass", None, lambda: verify_corollary1(P4, P5, random_frame(4, 1, 3), 3, 12, 0)),
-        ("fail", ("exposed_diameters", lambda P: diameters(P)[:1]), lambda: verify_theorem2(square)),
+        ("fail", ("_antipodal_rows", lambda P: cover(P)[1:]), lambda: verify_theorem2(square)),
         ("pass", None, lambda: verify_no_parallel_diameters(segment)),
         ("not-applicable", None, lambda: verify_diameter_transfer(square, triangle)),
         ("pass", None, lambda: verify_diameter_transfer(moved, cube)),
@@ -284,6 +287,7 @@ def test_report_text_is_the_dataclass_dump_on_every_branch(
     assert (universal_fail.existential, universal_fail.passes) == (False, 5)
     assert witness.existential and "projection_1" in witness.witnesses[0]
     assert tension.existential and tension.witnesses == [{"converse_tension": True}]
+    assert reports[5].witnesses == [{"missed_vertex": [0.0, 0.0]}]  # the endpoint dropped
     assert reports[6].instances_run == 0  # one diameter: no pair to compare
     # P1 keeps one diameter fewer: nothing unmatched, yet P2 has one more
     fewer = reports[10]
