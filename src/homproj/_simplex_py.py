@@ -18,7 +18,10 @@ UNBOUNDED = 1
 PIVOT_TOL = 1e-9
 
 # Largest number of tableau cells (float64, (m + 1) x (n + 1) per LP) solved in
-# one lockstep chunk. It bounds the working set of large hulls (``minkowski_sum``).
+# one lockstep chunk. It bounds the kernel's tableaux and per-pivot temporaries, not
+# the O(k^2 n) programs that callers build (``_apart``, the dedupe distance stack, the
+# assembled A of ``lp.margin_directions``). Unchunked, the hull of the 400 differences
+# of 20 unit vectors in R^3 peaks at 86 MB RSS instead of 65 MB, in the same time.
 CHUNK_CELLS = 2**15
 
 

@@ -103,7 +103,7 @@ def random_frame(n, m, seed):
     """
     if not 1 <= m <= n:
         raise BadDims(f"need 1 <= m <= n, got m={m}, n={n}")
-    return Frame(_extend(np.empty((0, n)), m, [seed])[0])
+    return Frame(_extend(np.empty((0, n)), m, _words([seed]))[0])
 
 
 def frame_containing(sub, m, seed):
@@ -113,7 +113,7 @@ def frame_containing(sub, m, seed):
         raise BadDims(f"need sub_dim <= m <= n, got {sub.sub_dim}, m={m}, n={n}")
     if m == sub.sub_dim:
         return sub
-    return Frame(_extend(sub.basis, m, [seed])[0])
+    return Frame(_extend(sub.basis, m, _words([seed]))[0])
 
 
 def _powers(init, mult, count):
@@ -163,8 +163,6 @@ def _words(seeds):
     """(S, W) uint32 words of non-negative int seeds of one word count, as numpy splits them."""
     from numpy.random.bit_generator import _coerce_to_uint32_array
 
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32:
-        return seeds[:, None]
     return np.array([_coerce_to_uint32_array(s) for s in seeds], dtype=np.uint32)
 
 
@@ -186,20 +184,21 @@ def _stated():
     return Stated
 
 
-def _rngs(seeds):
-    """``np.random.default_rng(seed)`` for each seed, bit for bit, from one ``_seed_state`` pass."""
+def _rngs(words):
+    """``np.random.default_rng(seed)`` for each seed, bit for bit, from one ``_seed_state`` pass
+    over the (S, W) uint32 words of the seeds (``_words``)."""
     from numpy.random import PCG64, Generator
 
-    w = _seed_state(_words(seeds), 8).astype(np.uint64)
-    words, stated = np.ascontiguousarray(w[:, ::2] | w[:, 1::2] << 32), _stated()
-    return [Generator(PCG64(stated(row))) for row in words]  # row: generate_state(4, uint64)
+    w = _seed_state(words, 8).astype(np.uint64)
+    state, stated = np.ascontiguousarray(w[:, ::2] | w[:, 1::2] << 32), _stated()
+    return [Generator(PCG64(stated(row))) for row in state]  # row: generate_state(4, uint64)
 
 
-def _extend(head, m, seeds):
+def _extend(head, m, words):
     """(S, m, n) bases: head's rows and m - len(head) normal rows from each seed's own rng,
     which alone redraws an entry that is dependent or fails the Gram check (16 tries).
-    Seeds are non-negative ints of one word count (``_words``); the rngs are ``_rngs(seeds)``."""
-    rngs = _rngs(seeds)
+    The seeds are the rows of the (S, W) uint32 ``words``; the rngs are ``_rngs(words)``."""
+    rngs = _rngs(words)
     k, n = head.shape
     B = np.empty((len(rngs), m, n))
     B[:, :k] = head
@@ -214,3 +213,16 @@ def _extend(head, m, seeds):
         if not todo.size:
             return B
     raise DependentInput("random sampling kept producing dependent vectors")
+
+
+def _frames(n, m, sub, samples, seed):
+    """(samples, m, n) basis stack of a sweep: entry i is ``random_frame(n, m, s_i)``, or
+    ``frame_containing(sub, m, s_i)`` unless sub is None (m > dim sub), where the seed is a
+    non-negative int and s_i = ``SeedSequence([seed, i]).generate_state(1)[0]``."""
+    if samples < 1:
+        raise BadDims("samples must be >= 1")
+    head = np.empty((0, n)) if sub is None else sub.basis
+    words = _words([seed])
+    entropy = np.empty((samples, words.shape[1] + 1), np.uint32)
+    entropy[:, :-1], entropy[:, -1] = words, np.arange(samples)
+    return _extend(head, m, _seed_state(entropy, 1))  # (S, 1) words: the s_i themselves

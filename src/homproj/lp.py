@@ -11,10 +11,8 @@ Callers that need many such programs at once (the open LPs of a stack of
 hulls, all pair LPs of one diameter enumeration) pass them together to
 ``margin_directions``, which hands them to the kernel in one batch call. The
 parity contract is per LP: each result is bit-identical to solving that
-program alone, on either backend. A hull row sends no program when a sign vector
-u with one or two nonzero entries has min(D u) > 2 tol on its own program D: u is
-feasible, so the optimum delta* >= min(D u) clears the tolerance too
-(``polytope.extreme_points_many``; sets with near-duplicate rows skip that screen).
+program alone, on either backend. Some hull rows send no program at all: the screen
+that keeps them is ``polytope.extreme_points_many``'s.
 
 The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used
 when its library loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy
@@ -77,13 +75,10 @@ def _dots(X, Y):
 
 
 def margin_direction(dirs):
-    """Best uniform separation margin over the unit-inf-norm direction box.
+    """(delta, u) of the one direction list ``dirs``: the B = 1 case of ``margin_directions``.
 
-    Solves  max delta  s.t.  u . d >= delta for every row d of ``dirs``,
-    |u|_inf <= 1, and returns (delta, u). delta is always >= 0 because
-    (u, delta) = (0, 0) is feasible; the program is bounded because delta
-    cannot exceed the 1-norm of any single row. Only the kernel tests and the
-    ``TARGETS`` of ``perfbench/tracing.py`` call this B = 1 form, until ROADMAP item 9.
+    Only the kernel tests and the ``TARGETS`` of ``perfbench/tracing.py`` call this form,
+    until ROADMAP item 9.
     """
     D = np.atleast_2d(np.asarray(dirs, dtype=float))
     deltas, us = margin_directions(D[None])
@@ -91,15 +86,18 @@ def margin_direction(dirs):
 
 
 def margin_directions(Ds):
-    """``margin_direction`` for each of B same-shape direction lists at once.
+    """Best uniform separation margin of each of B same-shape direction lists.
 
-    Ds is (B, m, n); returns (delta[B], u[B, n]). The B programs are assembled in one array and
-    solved in one kernel call; each result equals, bit for bit, that of its own ``margin_direction``
-    call. Each is bounded, so one the kernel reports unbounded was lost to rounding: KernelError.
+    Ds is (B, m, n) with m, n >= 1. Program k solves  max delta  s.t.  u . d >= delta for
+    every row d of Ds[k], |u|_inf <= 1; the call returns (delta[B], u[B, n]). delta >= 0,
+    because (u, delta) = (0, 0) is feasible, and each program is bounded, because delta cannot
+    exceed the 1-norm of a row: one the kernel reports unbounded was lost to rounding, and
+    raises KernelError. The B programs are assembled in one array and solved in one kernel
+    call, and each result is bit for bit that of its program solved alone.
     """
     Ds = np.asarray(Ds, dtype=float)
     if Ds.ndim != 3 or Ds.shape[1] == 0 or Ds.shape[2] == 0:
-        raise ValueError("margin_direction needs at least one direction")
+        raise ValueError("margin_directions needs at least one direction")
     Ds, e, _ = _binade(Ds, (1, 2))
     B, m, n = Ds.shape
     # variables: u+ (n), u- (n), delta; u = u+ - u-

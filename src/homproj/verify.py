@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import BadDims, SingletonInput
 from .exposed import _antipodal_rows, exposed_diameters
-from .geometry import _extend, _seed_state, _words
+from .geometry import _frames
 from .homothety import detect_homothety, homothety_record
 from .paraboloid import ParaboloidSpec, _homotheties, _parabolas, paraboloid_homothetic
 from .polytope import _distances, _shadow, extreme_points_many
@@ -48,12 +48,13 @@ def _report(name, instances, passes, witnesses, seed=0, existential=False, holds
     return Report(name, instances, passes, seed, "pass" if ok else "fail", existential, witnesses)
 
 
-def _projection_record(basis, Q1, Q2, result):
+def _projection_record(basis, Q1, Q2):
+    """Witness record of a frame whose shadows ``detect_homothety`` found no map between."""
     return {
         "frame": basis.tolist(),
         "projection_1": Q1.vertices.tolist(),
         "projection_2": Q2.vertices.tolist(),
-        "homothety": homothety_record(result),
+        "homothety": None,
     }
 
 
@@ -82,11 +83,10 @@ def _projection_sweep(name, P1, P2, B, seed):
     homothetic_count = 0
     first_bad = None
     for basis, Q1, Q2 in zip(B, hulls[::2], hulls[1::2]):
-        result = detect_homothety(Q1, Q2)
-        if result is not None:
+        if detect_homothety(Q1, Q2) is not None:
             homothetic_count += 1
         elif first_bad is None:
-            first_bad = _projection_record(basis, Q1, Q2, result)
+            first_bad = _projection_record(basis, Q1, Q2)
 
     existential = direct is None
     witnesses = [] if first_bad is None else [first_bad]
@@ -96,19 +96,6 @@ def _projection_sweep(name, P1, P2, B, seed):
         witnesses.append({"converse_tension": True})
     passes = len(B) - homothetic_count if existential else homothetic_count
     return _report(name, len(B), passes, witnesses, seed, existential)
-
-
-def _frames(n, m, sub, samples, seed):
-    """(samples, m, n) basis stack of a sweep: entry i is ``random_frame(n, m, s_i)``, or
-    ``frame_containing(sub, m, s_i)`` unless sub is None (m > dim sub), where the seed is a
-    non-negative int and s_i = ``SeedSequence([seed, i]).generate_state(1)[0]``."""
-    if samples < 1:
-        raise BadDims("samples must be >= 1")
-    head = np.empty((0, n)) if sub is None else sub.basis
-    words = _words([seed])
-    entropy = np.empty((samples, words.shape[1] + 1), np.uint32)
-    entropy[:, :-1], entropy[:, -1] = words, np.arange(samples)
-    return _extend(head, m, _seed_state(entropy, 1)[:, 0])
 
 
 def _sweep(name, P1, P2, sub, m, samples, seed):

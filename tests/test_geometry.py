@@ -141,7 +141,7 @@ def test_seeding_restates_numpy_bit_for_bit():
         assert _seed_state(words, 8)[0].tolist() == alone.tolist()
         subseeds = _seed_state(entropy, 1)[:50, 0]
         for seeds in ([seed], subseeds, subseeds.tolist()):
-            for rng, s in zip(_rngs(seeds), list(seeds)):
+            for rng, s in zip(_rngs(_words(seeds)), list(seeds)):
                 assert rng.bit_generator.state == np.random.default_rng(s).bit_generator.state
 
 

@@ -40,7 +40,7 @@ from homproj.polytope import REL_TOL, _canonical_sort, _distances
 
 
 def _subseed(seed, index):
-    """Frozen per-frame seed of entry ``index`` of a sweep: the reference for ``verify._frames``."""
+    """Frozen seed of entry ``index`` of a sweep: the reference for ``geometry._frames``."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
@@ -723,6 +723,16 @@ def _open_rows(points):
     return ~lone
 
 
+def _frozen_projection_record(basis, Q1, Q2, result):
+    """Frozen copy of the sweep's witness record of one frame, with its homothety (or None)."""
+    return {
+        "frame": basis.tolist(),
+        "projection_1": Q1.vertices.tolist(),
+        "projection_2": Q2.vertices.tolist(),
+        "homothety": verify.homothety_record(result),
+    }
+
+
 def _per_frame_sweep(name, P1, P2, B, seed):
     """Frozen copy of the projection sweep that hulls two shadows per frame of the basis stack B."""
     direct = hp.detect_homothety(P1, P2)
@@ -742,7 +752,7 @@ def _per_frame_sweep(name, P1, P2, B, seed):
         if sound:
             homothetic_count += 1
         elif first_bad is None:
-            first_bad = verify._projection_record(basis, Q1, Q2, result)
+            first_bad = _frozen_projection_record(basis, Q1, Q2, result)
 
     if direct is not None:
         verdict = "pass" if homothetic_count == n_frames else "fail"
@@ -906,7 +916,7 @@ def test_stacked_frames_match_the_per_frame_sampler(n, m):
     for sub in (None, line):
         head = np.empty((0, n)) if sub is None else line.basis
         for seed in (0, 7):
-            B = verify._frames(n, m, sub, 100, seed)
+            B = geometry._frames(n, m, sub, 100, seed)
             assert B.shape == (100, m, n)
             for i, basis in enumerate(B):
                 s = _subseed(seed, i)
@@ -945,9 +955,9 @@ def test_a_redrawn_entry_keeps_the_bits_of_its_own_draws(monkeypatch):
             drawn = self.rng.standard_normal(shape)
             return np.array(self.first.pop(0)) if self.first else drawn
 
-    honest = geometry._extend(np.empty((0, 3)), 2, seeds)
+    honest = geometry._extend(np.empty((0, 3)), 2, geometry._words(seeds))
     monkeypatch.setattr(geometry, "_gram_schmidt", rigged_gram_schmidt)
-    B = geometry._extend(np.empty((0, 3)), 2, seeds)
+    B = geometry._extend(np.empty((0, 3)), 2, geometry._words(seeds))
     assert stacks == [4, 2, 1]  # three rounds: 11 redrawn once, 13 twice
     monkeypatch.setattr(np.random, "default_rng", Rigged)
     for basis, seed in zip(B, seeds):
@@ -963,7 +973,8 @@ def test_example1_frame_bases_are_pinned():
         4242: "7c691c45418f7c1b5be15361ef29bbf621d2cc5f929ca5605934fd9d184aa3cf",
     }
     for seed, digest in digests.items():
-        assert hashlib.sha256(verify._frames(3, 2, None, 100, seed).tobytes()).hexdigest() == digest
+        B = geometry._frames(3, 2, None, 100, seed)
+        assert hashlib.sha256(B.tobytes()).hexdigest() == digest
 
 
 def test_a_dependent_entry_is_flagged_alone():
@@ -1004,7 +1015,7 @@ def test_stacked_shadows_match_the_per_frame_projection():
     # 1e-11 off it at a third: a full plane for those entries only
     horizontal = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     almost = hp.orthonormalize([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-11]]).basis
-    B = verify._frames(3, 2, None, 200, 3)
+    B = geometry._frames(3, 2, None, 200, 3)
     B[[5, 77]], B[150] = horizontal, almost
     for spec in SPECS:
         full, axis, vertex, quad = _parabolas(spec, B)
@@ -1069,7 +1080,7 @@ def test_example1_witnesses_read_the_basis_stack(monkeypatch):
 
     monkeypatch.setattr(verify, "_homotheties", negated)
     report = hp.verify_example1(10, 5)
-    B = verify._frames(3, 2, None, 10, 5)
+    B = geometry._frames(3, 2, None, 10, 5)
     assert (report.verdict, report.passes) == ("fail", 8)
     assert report.witnesses[:2] == [{"frame": B[3].tolist()}, {"frame": B[8].tolist()}]
 
@@ -1232,7 +1243,7 @@ def test_row_products_match_the_frozen_matmuls():
         Q, ok = geometry._gram_schmidt(X)
         Q_ref, ok_ref = _frozen_gram_schmidt(X)
         assert Q.tobytes() == Q_ref.tobytes() and ok.tolist() == ok_ref.tolist()
-    B = verify._frames(3, 2, None, 200, 3)
+    B = geometry._frames(3, 2, None, 200, 3)
     B[[5, 77]] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     B[150] = [[0.0, 1.0, 0.0], [0.6, 0.0, 0.8]]
     for spec in SPECS:
