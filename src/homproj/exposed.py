@@ -3,9 +3,9 @@
 A vertex v is exposed when some direction u has its strict maximum over the
 polytope at v; a vertex pair (x, z) spans an exposed diameter when one u has
 its strict maximum at x and strict minimum at z. Both are decided by the
-separation-margin LP over the |u|_inf <= 1 box. Whether every vertex is an endpoint
-(theorem 2) is a cover question: ``_antipodal_rows`` stops solving pair LPs once each
-vertex is an endpoint or has had all its pairs solved, with the full enumeration's answer.
+separation-margin LP over the |u|_inf <= 1 box. Callers that need only the endpoint
+rows (theorem 2, no-parallel, transfer) first read the pairs that ``_screen`` certifies
+from the polytope's own chords, with no LP, and solve pair LPs only for the rest.
 """
 
 import math
@@ -134,6 +134,8 @@ def _pair_diameters(P, I, J):
     Every step is per pair, so a pair's verdict does not depend on which others share the call.
     """
     V = P.vertices
+    if not len(I):
+        return []
     deltas, us = margin_directions(np.concatenate([_apart(V)[I], _apart(-V)[J]], axis=1))
     keep = deltas > REL_TOL * P.scale
     U, pairs = us[keep], zip(I[keep].tolist(), J[keep].tolist())
@@ -148,30 +150,46 @@ def exposed_diameters(P):
     return _pair_diameters(P, *np.triu_indices(P.num_vertices, 1))
 
 
-def _antipodal_rows(P):
-    """Sorted rows of the endpoints of ``exposed_diameters(P)``, from at most two batches.
+def _screen(P):
+    """(k, k) mask of the pairs i < j certified as exposed diameters with no LP, by one support
+    call on [U; -U], U the chords V[i] - V[j], i < j, at their ``_binade`` scale (no overflow).
 
-    The first solves, for each row i, the pair of i and its likely antipode, the row j != i
-    least in the direction V[i] - centroid; the second, every unsolved pair that touches a row
-    no diameter has reached yet. So each row left out has had all its pairs solved, and as a
-    pair's verdict is its own, the endpoints are those of the full enumeration.
+    Faces of u and -u that are lone vertices a, b with gaps above 4 sqrt(n) tol on the unit
+    u / |u|_2 certify {a, b}: u / |u|_inf is feasible for the pair's program with margin above
+    that, so delta* > 4 sqrt(n) tol, and as the LP's |u*|_2 <= sqrt(n), u* / |u*|_2 has both
+    gaps above 4 tol: ``_diameters_at`` accepts it. Rounding is outside this; tests check it.
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
-    W, k = _binade(P.vertices, (0, 1))[0], P.num_vertices  # max|W| < 1: every product is finite
-    far = W @ (W - W.mean(axis=0)).T + np.diag(np.full(k, np.inf))  # far[j, i] = W[j].(W[i] - c)
-    todo = np.eye(k, dtype=bool)[far.argmin(axis=0)]  # row i marks its partner
-    todo = np.triu(todo | todo.T, 1)
-    unsolved, hit = np.triu(~todo, 1), np.zeros(k, bool)
-    while todo.any():
-        for d in _pair_diameters(P, *np.nonzero(todo)):
-            hit[[d.i, d.j]] = True
-        both = hit[:, None] & hit
-        todo, unsolved = unsolved & ~both, unsolved & both
+    I, J = np.triu_indices(P.num_vertices, 1)
+    U = _binade(P.vertices[I] - P.vertices[J], 1)[0]
+    _, on_face, margin = _support_rows(P, np.concatenate([U, -U]))
+    bar = 4.0 * math.sqrt(P.dim) * REL_TOL * P.scale * np.sqrt(_dots(U, U))
+    lone = ((on_face.sum(axis=1) == 1) & (margin > np.tile(bar, 2))).reshape(2, -1).all(axis=0)
+    a, b = on_face.argmax(axis=1).reshape(2, -1)[:, lone]  # the faces of u, then of -u
+    screened = np.zeros((P.num_vertices,) * 2, bool)
+    screened[np.minimum(a, b), np.maximum(a, b)] = True
+    return screened
+
+
+def _diameter_pairs(P):
+    """Row-major (i, j) of ``exposed_diameters(P)``: the screened pairs, then one LP batch."""
+    pairs = _screen(P)
+    for d in _pair_diameters(P, *np.nonzero(np.triu(~pairs, 1))):
+        pairs[d.i, d.j] = True
+    return list(zip(*(rows.tolist() for rows in np.nonzero(pairs))))
+
+
+def _antipodal_rows(P):
+    """Sorted endpoint rows of ``exposed_diameters(P)``: ``_screen``, then one batch of the other
+    pairs of each row it left out, whose verdicts are their own, as in the full enumeration."""
+    screened = _screen(P)
+    hit = screened.any(axis=0) | screened.any(axis=1)
+    for d in _pair_diameters(P, *np.nonzero(np.triu(~screened & ~(hit[:, None] & hit), 1))):
+        hit[[d.i, d.j]] = True
     return np.flatnonzero(hit).tolist()
 
 
 def antipodally_exposed_points(P):
-    """Vertices that are an endpoint of some exposed diameter, in row order: the cover
-    ``_antipodal_rows``, which gives the endpoints of ``exposed_diameters`` from fewer pair LPs."""
+    """Vertices that are an endpoint of some exposed diameter, in row order: ``_antipodal_rows``."""
     return [P.vertices[k] for k in _antipodal_rows(P)]

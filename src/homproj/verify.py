@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDims, SingletonInput
-from .exposed import _antipodal_rows, exposed_diameters
+from .exposed import _antipodal_rows, _diameter_pairs
 from .geometry import _frames
 from .homothety import detect_homothety, homothety_record
 from .paraboloid import ParaboloidSpec, _homotheties, _parabolas, paraboloid_homothetic
@@ -130,8 +130,8 @@ def verify_corollary1(P1, P2, sub, m, samples, seed):
 def verify_theorem2(P):
     """Every vertex must be antipodally exposed (polytope specialization).
 
-    A cover question: ``_antipodal_rows`` solves pair LPs only until each vertex is an
-    endpoint or has had all its pairs solved, and reads the endpoints of the full enumeration.
+    A cover question: ``_antipodal_rows`` reads the full enumeration's endpoints from a chord
+    screen and the pair LPs of the vertices it leaves out.
     """
     if P.num_vertices < 2:
         raise SingletonInput("theorem 2 excludes singletons")
@@ -146,18 +146,14 @@ def verify_no_parallel_diameters(P):
     Two unit directions d_i, d_j count as parallel when
     min(|d_i - d_j|, |d_i + d_j|) = 2 sin(theta / 2) <= PARALLEL_TOL, theta
     the angle between the lines; unlike 1 - |cos theta| it does not cancel
-    at small angles. A singleton raises SingletonInput from ``exposed_diameters``.
+    at small angles. A singleton raises SingletonInput from ``_diameter_pairs``.
     """
-    diams = exposed_diameters(P)
-    X, Z = P.vertices[[d.i for d in diams]], P.vertices[[d.j for d in diams]]
-    U = (X - Z) / _distances(X[:, None], Z[:, None])[:, 0]  # |x - z| of each pair alone
-    I, J = np.triu_indices(len(diams), 1)
+    E = P.vertices[np.array(_diameter_pairs(P), dtype=int).reshape(-1, 2)]  # (x, z) per diameter
+    U = (E[:, 0] - E[:, 1]) / _distances(E[:, :1], E[:, 1:])[:, 0]  # |x - z| of each pair alone
+    I, J = np.triu_indices(len(E), 1)
     gaps = np.minimum(_distances(U)[I, J], _distances(U, -U)[I, J])
     witnesses = [
-        {
-            "diameter_1": [diams[i].x.tolist(), diams[i].z.tolist()],
-            "diameter_2": [diams[j].x.tolist(), diams[j].z.tolist()],
-        }
+        {"diameter_1": E[i].tolist(), "diameter_2": E[j].tolist()}
         for i, j, gap in zip(I.tolist(), J.tolist(), gaps.tolist())
         if not gap > PARALLEL_TOL
     ]
@@ -182,12 +178,12 @@ def verify_diameter_transfer(P1, P2):
             seed=0,
             verdict="not-applicable",
         )
-    d1 = exposed_diameters(P1)
-    pairs2 = {frozenset((e.i, e.j)) for e in exposed_diameters(P2)}
+    d1 = _diameter_pairs(P1)
+    pairs2 = {frozenset(ij) for ij in _diameter_pairs(P2)}
     witnesses = [
-        {"unmatched_diameter": [d.x.tolist(), d.z.tolist()]}
-        for d in d1
-        if frozenset((h.match[d.i], h.match[d.j])) not in pairs2
+        {"unmatched_diameter": P1.vertices[[i, j]].tolist()}
+        for i, j in d1
+        if frozenset((h.match[i], h.match[j])) not in pairs2
     ]
     # h.match is a bijection: with no witness, d1's distinct pairs map injectively into pairs2
     passes = len(d1) - len(witnesses)

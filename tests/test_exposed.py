@@ -20,8 +20,15 @@ from homproj import (
     random_polytope,
     support,
 )
-from homproj.exposed import PERTURB_RETRIES, ExposedDiameter, _antipodal_rows
-from homproj.polytope import REL_TOL
+from homproj.exposed import (
+    PERTURB_RETRIES,
+    ExposedDiameter,
+    _antipodal_rows,
+    _diameter_pairs,
+    _screen,
+)
+from homproj.lp import margin_directions
+from homproj.polytope import REL_TOL, Polytope, _apart
 
 
 def grid_diameter_pairs(P, angles=10000):
@@ -378,18 +385,44 @@ def _cover_corpus():
 
 @pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
 def test_the_cover_finds_the_endpoints_of_the_full_enumeration(monkeypatch, kernel):
-    # the partner pairs first, then every pair of a row still no endpoint: at most two calls,
-    # fewer pair LPs than all of them, and the second call needed on some polytope
+    # the chord screen first, then every unscreened pair of a row still no endpoint: at most
+    # one call, and fewer pair LPs than all of them
     calls, real = [], homproj.exposed.margin_directions
     monkeypatch.setattr(
         homproj.exposed, "margin_directions", lambda Ds: calls.append(len(Ds)) or real(Ds)
     )
-    sent = every = second = 0
+    sent = every = 0
     for P in _cover_corpus():
         full = sorted({k for d in exposed_diameters(P) for k in (d.i, d.j)})
         calls.clear()
         assert _antipodal_rows(P) == full
-        assert 1 <= len(calls) <= 2
+        assert len(calls) <= 1
         k = P.num_vertices
-        sent, every, second = sent + sum(calls), every + k * (k - 1) // 2, second + len(calls) - 1
-    assert sent < every and second >= 1
+        sent, every = sent + sum(calls), every + k * (k - 1) // 2
+    assert sent < every
+
+
+def _near_flat_bodies():
+    """A vertex 1.2 tol below the edge of its two neighbours, on the chord to a far vertex, and
+    the body turned by 90 degrees, so that the near vertex comes first in row order in one and
+    last in the other: each chord has one wide gap and one the screen must not trust, and the
+    pair's delta* is 1.2 tol (scipy's HiGHS agrees)."""
+    V = np.array([[-1.0, 0.0], [0.0, -1.2 * REL_TOL * np.sqrt(10.0)], [1.0, 0.0], [0.0, 3.0]])
+    return [Polytope(V), Polytope(V @ [[0.0, 1.0], [-1.0, 0.0]])]
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_the_chord_screen_never_disagrees_with_the_enumeration(kernel):
+    # every pair the screen certifies without an LP is one whose LP has delta* > sqrt(n) tol,
+    # so the diameter pairs are those of the full enumeration, also at 1e-300 and 1e300
+    rng = np.random.default_rng(26)
+    spread = [s * rng.standard_normal((9, n)) for s in (1e-300, 1e300) for n in (2, 3, 4)]
+    screened = 0
+    for P in _cover_corpus() + [extreme_points(X) for X in spread] + _near_flat_bodies():
+        assert _diameter_pairs(P) == [(d.i, d.j) for d in exposed_diameters(P)]
+        I, J = np.nonzero(_screen(P))
+        V = P.vertices
+        deltas, _ = margin_directions(np.concatenate([_apart(V)[I], _apart(-V)[J]], axis=1))
+        assert (deltas > np.sqrt(P.dim) * REL_TOL * P.scale).all()
+        screened += len(I)
+    assert screened > 0

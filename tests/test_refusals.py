@@ -94,7 +94,7 @@ CASES = {
     "perturbation-exhausted": (
         lambda: exposed_point_near(SQUARE, [0, 1], 1e-300), PerturbationFailed
     ),
-    # the pair paths, ``exposed_diameters`` and ``_antipodal_rows``, own the singleton refusal
+    # the pair paths, ``exposed_diameters`` and ``_screen``, own the singleton refusal
     "antipodal-singleton": (lambda: antipodally_exposed_points(POINT), SingletonInput),
     "no-parallel-singleton": (lambda: verify_no_parallel_diameters(POINT), SingletonInput),
 }

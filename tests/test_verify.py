@@ -145,7 +145,8 @@ def test_diameter_transfer(cube, square, triangle):
 
 def _greedy_diameter_transfer(P1, P2):
     """Frozen copy of the greedy ``verify_diameter_transfer`` that matched
-    endpoint coordinates within 1e-9 * scale: the reference."""
+    endpoint coordinates within 1e-9 * scale: the reference. It reads the endpoint rows of
+    ``verify._diameter_pairs``, as the check does, so a patch of that name reaches both."""
     h = detect_homothety(P1, P2)
     if h is None:
         return verify.Report(
@@ -155,26 +156,26 @@ def _greedy_diameter_transfer(P1, P2):
             seed=0,
             verdict="not-applicable",
         )
-    d1 = verify.exposed_diameters(P1)
-    d2 = verify.exposed_diameters(P2)
+    d1 = [P1.vertices[[i, j]] for i, j in verify._diameter_pairs(P1)]
+    d2 = [P2.vertices[[i, j]] for i, j in verify._diameter_pairs(P2)]
     tol = 1e-9 * P2.scale
 
     def same_pair(ends, e):
-        near = _distances(ends, np.array([e.x, e.z])) <= tol
+        near = _distances(ends, e) <= tol
         return (near[0, 0] and near[1, 1]) or (near[0, 1] and near[1, 0])
 
     matched = 0
     witnesses = []
     used = set()
     for d in d1:
-        ends = (np.array([d.x, d.z]) - h.shift) / h.ratio
+        ends = (d - h.shift) / h.ratio
         hit = None
         for j, e in enumerate(d2):
             if j not in used and same_pair(ends, e):
                 hit = j
                 break
         if hit is None:
-            witnesses.append({"unmatched_diameter": [d.x.tolist(), d.z.tolist()]})
+            witnesses.append({"unmatched_diameter": d.tolist()})
         else:
             used.add(hit)
             matched += 1
@@ -208,10 +209,10 @@ def test_diameter_transfer_matches_greedy_reference(monkeypatch):
         assert got == report_to_text(_greedy_diameter_transfer(P1, P2))
         assert '"verdict": "pass"' in got
     # P2 loses its last diameter: P1's diameter onto it is reported unmatched
-    full = exposed.exposed_diameters
+    full = exposed._diameter_pairs
     for P1, P2 in pairs[:12]:
         monkeypatch.setattr(
-            verify, "exposed_diameters", lambda P: full(P)[:-1] if P is P2 else full(P)
+            verify, "_diameter_pairs", lambda P: full(P)[:-1] if P is P2 else full(P)
         )
         got = report_to_text(verify_diameter_transfer(P1, P2))
         assert got == report_to_text(_greedy_diameter_transfer(P1, P2))
@@ -236,7 +237,7 @@ def _report_branches(monkeypatch, cube, octahedron, square, triangle):
     """(verdict, report) of every report kind and verdict branch, patches undone after each."""
     moved = apply_homothety(cube, np.array([1.0, 2.0, 3.0]), 2.0)
     detect, diameters, cover = (
-        homothety.detect_homothety, exposed.exposed_diameters, exposed._antipodal_rows
+        homothety.detect_homothety, exposed._diameter_pairs, exposed._antipodal_rows
     )
 
     def second_frame_fails(P1, P2):
@@ -263,8 +264,8 @@ def _report_branches(monkeypatch, cube, octahedron, square, triangle):
         ("pass", None, lambda: verify_no_parallel_diameters(segment)),
         ("not-applicable", None, lambda: verify_diameter_transfer(square, triangle)),
         ("pass", None, lambda: verify_diameter_transfer(moved, cube)),
-        ("fail", ("exposed_diameters", drop_last_of(cube)), lambda: verify_diameter_transfer(moved, cube)),
-        ("fail", ("exposed_diameters", drop_last_of(moved)), lambda: verify_diameter_transfer(moved, cube)),
+        ("fail", ("_diameter_pairs", drop_last_of(cube)), lambda: verify_diameter_transfer(moved, cube)),
+        ("fail", ("_diameter_pairs", drop_last_of(moved)), lambda: verify_diameter_transfer(moved, cube)),
         ("pass", None, lambda: verify_example1(40, 2)),
     ]
     for verdict, patch, run in runs:
