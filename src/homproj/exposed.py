@@ -5,7 +5,7 @@ polytope at v; a vertex pair (x, z) spans an exposed diameter when one u has
 its strict maximum at x and strict minimum at z. Both are decided by the
 separation-margin LP over the |u|_inf <= 1 box. Callers that need only the endpoint
 rows (theorem 2, no-parallel, transfer) first read the pairs that ``_screen`` certifies
-from the polytope's own chords, with no LP, and solve pair LPs only for the rest.
+from the polytope's chords (theorem 2 also from bisectors), and solve pair LPs for the rest.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadTolerance, NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
 from .lp import _binade, _dots, _vector, margin_directions
-from .polytope import REL_TOL, _apart, _support_rows
+from .polytope import REL_TOL, _apart, _bisectors, _support_rows
 
 PERTURB_RETRIES = 64
 
@@ -150,9 +150,9 @@ def exposed_diameters(P):
     return _pair_diameters(P, *np.triu_indices(P.num_vertices, 1))
 
 
-def _screen(P):
+def _screen(P, U=None):
     """(k, k) mask of the pairs i < j certified as exposed diameters with no LP, by one support
-    call on [U; -U], U the chords V[i] - V[j], i < j, at their ``_binade`` scale (no overflow).
+    call on [U; -U], U (the chords V[i] - V[j], i < j, by default) at its ``_binade`` scale.
 
     Faces of u and -u that are lone vertices a, b with gaps above 4 sqrt(n) tol on the unit
     u / |u|_2 certify {a, b}: u / |u|_inf is feasible for the pair's program with margin above
@@ -161,8 +161,9 @@ def _screen(P):
     """
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
-    I, J = np.triu_indices(P.num_vertices, 1)
-    U = _binade(P.vertices[I] - P.vertices[J], 1)[0]
+    if U is None:
+        U = np.subtract(*P.vertices[np.triu_indices(P.num_vertices, 1), :])
+    U = _binade(U, 1)[0]
     _, on_face, margin = _support_rows(P, np.concatenate([U, -U]))
     bar = 4.0 * math.sqrt(P.dim) * REL_TOL * P.scale * np.sqrt(_dots(U, U))
     lone = ((on_face.sum(axis=1) == 1) & (margin > np.tile(bar, 2))).reshape(2, -1).all(axis=0)
@@ -181,10 +182,14 @@ def _diameter_pairs(P):
 
 
 def _antipodal_rows(P):
-    """Sorted endpoint rows of ``exposed_diameters(P)``: ``_screen``, then one batch of the other
-    pairs of each row it left out, whose verdicts are their own, as in the full enumeration."""
+    """Sorted endpoint rows of ``exposed_diameters(P)``: ``_screen`` on chords, then on the
+    ``_bisectors`` of rows left out, then one batch (own verdicts, as if enumerated) of the rest."""
     screened = _screen(P)
     hit = screened.any(axis=0) | screened.any(axis=1)
+    if not hit.all():
+        U = _bisectors(_apart(P.vertices)[~hit]).reshape(-1, P.dim)
+        screened |= _screen(P, U[np.abs(U).max(axis=1) > 0])
+        hit = screened.any(axis=0) | screened.any(axis=1)
     for d in _pair_diameters(P, *np.nonzero(np.triu(~screened & ~(hit[:, None] & hit), 1))):
         hit[[d.i, d.j]] = True
     return np.flatnonzero(hit).tolist()

@@ -11,8 +11,8 @@ Callers that need many such programs at once (the open LPs of a stack of
 hulls, all pair LPs of one diameter enumeration) pass them together to
 ``margin_directions``, which hands them to the kernel in one batch call. The
 parity contract is per LP: each result is bit-identical to solving that
-program alone, on either backend. Some hull rows send no program at all: the screen
-that keeps them is ``polytope.extreme_points_many``'s.
+program alone, on either backend. Some hull rows send no program at all: the screens
+that decide them are ``polytope.extreme_points_many``'s.
 
 The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used
 when its library loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy

@@ -98,6 +98,14 @@ def _apart(V):
     return V[..., :, None, :] - V[..., j + (j >= np.arange(k)[:, None]), :]
 
 
+def _bisectors(D):
+    """(..., r (r - 1) / 2, n) half sums of the unit rows of D (..., r, n), two at a time: feasible
+    directions of D's program. A polygon vertex's two edge units sum to its normal cone's centre."""
+    W, (a, b) = D / np.abs(D).max(axis=-1, keepdims=True), np.nonzero(np.tri(D.shape[-2], k=-1).T)
+    W = W / np.sqrt(_dots(W, W))[..., None]
+    return (np.take(W, a, axis=-2) + np.take(W, b, axis=-2)) / 2.0
+
+
 def _canonical_sort(V, scale):
     """Lexicographic row order on the REL_TOL * scale grid, ties by coordinates; a total order."""
     cells = np.round((V - V.min(axis=0)) / (REL_TOL * scale))
@@ -140,8 +148,12 @@ def extreme_points_many(stack):
     ``stack`` is an (S, k, n) array or any sequence of S (k_s, n_s) point
     sets. Each set is measured, deduplicated and tolerated on its own scale,
     exactly as if hulled alone. Sets of one shape share one distance stack.
-    Row i is kept without its LP if a sign vector u with one or two nonzero entries has
-    min(D u) > 2 tol on its program D = ``_apart(V)[i]``: u is feasible, so delta* >= min(D u).
+    Row i is kept without its LP if a feasible u has min(D u) > 2 tol on its program
+    D = ``_apart(V)[i]``, as delta* >= min(D u): in R^2 the ``_bisectors`` of the two rows of D
+    around their widest angular gap (at a vertex, the centre of its normal cone), else a sign
+    vector with one or two nonzero entries. A planar row whose rows of D leave no gap of
+    pi - 2 REL_TOL is dropped: it lies in the hull of the others, so delta* = 0. Sets of k points
+    in R^2 need O(k^2) work for this, and most make no LP call at all.
     The other rows of sets keeping the same number of distinct points send their D in one
     ``margin_directions`` call; its per-LP parity makes every result independent of the batch.
     Until ROADMAP item 7 lands, a set with two input rows within 2^10 tol sends every row.
@@ -168,15 +180,28 @@ def extreme_points_many(stack):
     for (k, n), index in _groups(V.shape for V in sets):
         if k == 1:
             continue
-        D, tol = _apart(np.stack([sets[s] for s in index])), REL_TOL * scales[index]
-        I, (i, j) = np.eye(n), np.triu_indices(n, 1)
-        U = np.concatenate([I, I[i] + I[j], I[i] - I[j]])
-        gaps = np.matmul(D, np.concatenate([U, -U]).T).min(axis=2)
-        keep = (gaps > 2.0 * tol[:, None, None]).any(axis=2) & ~crowded[index][:, None]
-        if not keep.all():
-            deltas, _ = margin_directions(D[~keep])
-            keep[~keep] = deltas > np.repeat(tol, k - keep.sum(axis=1))
-        for s, rows in zip(index, keep):
+        D = _apart(np.stack([sets[s] for s in index])).reshape(-1, k - 1, n)
+        tol, screen = np.repeat(REL_TOL * scales[index], k), np.repeat(~crowded[index], k)
+        if n == 2:  # the rows of each D by angle, and their widest gap
+            A = np.angle(D.view(np.complex128)[..., 0])
+            order = np.argsort(A, axis=1)
+            A = np.take_along_axis(A, order, axis=1)
+            gaps = np.diff(A, axis=1, append=A[:, :1] + 2.0 * np.pi)
+            g = gaps.argmax(axis=1)[:, None]
+            pair = np.take_along_axis(order, np.concatenate([g, (g + 1) % (k - 1)], axis=1), axis=1)
+            u = _bisectors(np.take_along_axis(D, pair[..., None], axis=1))
+            keep = (np.matmul(D, u.swapaxes(1, 2))[..., 0].min(axis=1) > 2.0 * tol) & screen
+            open_ = ~keep & ~(screen & (gaps.max(axis=1) < np.pi - 2.0 * REL_TOL))
+        else:
+            I, (i, j) = np.eye(n), np.triu_indices(n, 1)
+            U = np.concatenate([I, I[i] + I[j], I[i] - I[j]])
+            gaps = np.matmul(D, np.concatenate([U, -U]).T).min(axis=1)
+            keep = (gaps > 2.0 * tol[:, None]).any(axis=1) & screen
+            open_ = ~keep
+        if open_.any():
+            deltas, _ = margin_directions(D[open_])
+            keep[open_] = deltas > tol[open_]
+        for s, rows in zip(index, keep.reshape(-1, k)):
             sets[s] = sets[s][rows]
     return [Polytope(V) for V in sets]
 

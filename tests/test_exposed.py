@@ -259,9 +259,11 @@ def test_exposed_diameter_near_solves_no_lp(monkeypatch, square, triangle, cube,
         for f in np.vstack([np.eye(P.dim), -np.eye(P.dim)]):
             d = exposed_diameter_near(P, f, 1e-3)
             assert np.linalg.norm(f - d.witness) <= 1e-3
-    # the probe is live: an interior point is no lone face of any direction, so it needs an LP
+    # the probe is live: a point inside a tetrahedron is no lone face of any direction, and the
+    # planar screens do not see R^3, so it needs an LP
     with pytest.raises(AssertionError, match="LP kernel used"):
-        extreme_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
+        extreme_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                        [0.25, 0.25, 0.25]])
 
 
 def test_exposed_diameters_square_matches_grid_oracle(square):
@@ -366,7 +368,8 @@ def test_exposed_diameters_measures_the_polytope_once(monkeypatch):
 
 def _cover_corpus():
     """Seeded Gaussian polytopes in R^2-R^4, 10-point sphere polytopes in R^3 and R^4 (the
-    benchmark's exposed corpus), and symmetric bodies with many tied pairs."""
+    benchmark's exposed corpus), symmetric bodies with many tied pairs, and a direct build with
+    a row between two others, whose two chords cancel in a bisector."""
     rng = np.random.default_rng(24)
     spheres = [rng.standard_normal((10, n)) for n in (3, 4) for _ in range(8)]
     polygons = [np.exp(2j * np.pi * np.arange(m) / m) for m in (3, 5, 6, 8, 12)]
@@ -380,6 +383,7 @@ def _cover_corpus():
         [random_polytope(n, 12, 2400 + 10 * n + s) for n in (2, 3, 4) for s in range(10)]
         + [extreme_points(X / np.linalg.norm(X, axis=1)[:, None]) for X in spheres]
         + [extreme_points(B) for B in bodies]
+        + [Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]))]
     )
 
 

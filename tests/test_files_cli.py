@@ -226,10 +226,9 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
 
 def test_cli_failed_margin_lp_exits_2(monkeypatch, tmp_path, capsys):
     # a kernel that loses a bounded program reports UNBOUNDED: an input error line, not exit 1;
-    # the centre of the square is no lone face of any direction, so its LP does run
-    centred = _write(
-        tmp_path, "p.json", '{"dim": 2, "vertices": [[0,0],[1,0],[0,1],[1,1],[0.5,0.5]]}'
-    )
+    # the centre of the octahedron is no lone face of any direction and not planar, so its LP runs
+    centred = _write(tmp_path, "p.json", '{"dim": 3, "vertices": '
+                     '[[1,0,0],[-1,0,0],[0,1,0],[0,-1,0],[0,0,1],[0,0,-1],[0,0,0]]}')
 
     def unbounded(A, b, c):
         return np.full(len(A), UNBOUNDED), np.zeros(len(A)), np.zeros((len(A), A.shape[2]))

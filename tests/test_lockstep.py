@@ -821,11 +821,14 @@ def test_sweep_reports_match_the_per_frame_sweep(monkeypatch, pair, seed, kernel
 
 
 def test_sweep_hulls_all_shadows_in_one_lp_call(monkeypatch):
-    P1, P2 = _sweep_pairs()["moved_cube"]
-    calls = _count_margin_calls(monkeypatch)
-    report = hp.verify_theorem1(P1, P2, 2, 8, 5)
-    assert report.verdict == "pass" and report.passes == 8
-    assert len(calls) == 1
+    # the shadows of an m = 3 sweep share one call; the planar screens decide every row of the
+    # m = 2 shadows of the moved cube, whose sweep makes no call at all
+    pairs, calls = _sweep_pairs(), _count_margin_calls(monkeypatch)
+    for pair, m, sent in (("homothetic_4d", 3, 1), ("moved_cube", 2, 0)):
+        calls.clear()
+        report = hp.verify_theorem1(*pairs[pair], m, 8, 5)
+        assert report.verdict == "pass" and report.passes == 8
+        assert len(calls) == sent
 
 
 def _fail_second_frame(monkeypatch):
@@ -1146,8 +1149,10 @@ def test_separation_programs_match_the_frozen_builders(monkeypatch, kernel):
     stacks = [np.stack([P.vertices for P in _integer_bodies()[i::3]]) for i in range(3)]
     for n, k in ((2, 5), (3, 7), (4, 9)):
         shift = 10.0 ** rng.uniform(-3.0, 3.0, (20, 1, n)) * rng.standard_normal((20, 1, n))
-        stacks.append(10.0 ** rng.uniform(-3.0, 3.0, (20, 1, 1)) * rng.standard_normal((20, k, n))
-                      + shift)
+        X = 10.0 ** rng.uniform(-3.0, 3.0, (20, 1, 1)) * rng.standard_normal((20, k, n))
+        if n == 2:  # crowded (a row 8 tol from another), so the planar screens leave every row open
+            X[:, -1] = X[:, 0] + 8 * REL_TOL * _distances(X).max(axis=(1, 2))[:, None] * [0.6, 0.8]
+        stacks.append(X + shift)
     sent = certified = 0
     for V in stacks:
         # rows the frozen screen certifies send no program; the others send their frozen ones

@@ -1,19 +1,25 @@
-"""The lone-face screen of ``extreme_points_many`` never disagrees with the margin LP.
+"""The screens of ``extreme_points_many`` never disagree with the margin LP.
 
-A row whose own margin program D has min(D u) > 2 tol at a sign vector u with one or two
-nonzero entries is the lone best of u by that gap, and is kept without its LP.
+Outside R^2, a row whose own margin program D has min(D u) > 2 tol at a sign vector u with one
+or two nonzero entries is the lone best of u by that gap, and is kept without its LP. In R^2, a
+row is kept when the bisector of the two rows of D around their widest angular gap clears
+2 tol, and dropped when the rows of D leave no gap of pi; its other rows alone send LPs.
 The seeded corpus holds Gaussian sets in R^2..R^4 at scales 1e-3..1e5 and offsets up to 1e6,
-interior-heavy sets, near-duplicate sets as in ROADMAP item 7, and sets with one row whose
-margin is 0.25 to 4 times the tolerance; the acceptance corpora ride along. On it every
-screened row must have an LP margin over tol, every hull must carry the bytes of a frozen copy
-of the hull that solves every LP, and every crowded set must send all of its rows to the LP.
-Both LP kernels run it.
+interior-heavy sets, near-duplicate sets as in ROADMAP item 7, sets with one row whose
+margin is 0.25 to 4 times the tolerance, planar sets with one row 0.5 to 8 tolerances inside
+or outside a hull edge at scales 1e-300, 1 and 1e300, and planar sets of 17 to 23 rows; the
+acceptance corpora ride along. On it every row a screen decides must have the LP's verdict,
+every hull must carry the bytes of a frozen copy of the hull that solves every LP, every
+crowded set must send all of its rows to the LP, and every other set outside R^2 must send
+exactly its rows that no sign vector certifies. Both LP kernels run it.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import homproj as hp
 from homproj import polytope
@@ -43,7 +49,7 @@ def _frozen_full_lp_hulls(stack):
 def _lone_faces(V, tol):
     """(S, k) mask of the rows of V (S, k, n) that some sign vector u with one or two nonzero
     entries puts over every other row by more than 2 tol (S,): min(D u) > 2 tol on the row's
-    own program D = ``_apart(V)[s, i]``, the rows the screen keeps without an LP."""
+    own program D = ``_apart(V)[s, i]``, the rows the screen keeps without an LP outside R^2."""
     U = [u for u in itertools.product((-1.0, 0.0, 1.0), repeat=V.shape[2])
          if 1 <= np.count_nonzero(u) <= 2]
     gaps = np.matmul(_apart(V), np.array(U).T).min(axis=2)
@@ -76,6 +82,20 @@ def _bump_set(rng, k, n):
     return np.vstack([X, top])[rng.permutation(len(X) + 1)]
 
 
+def _near_edge_set(rng):
+    """A Gaussian polygon, two rows inside it and one c tol inside or outside one of its edges,
+    c in U(0.5, 8): around the 2 tol bars of the planar screens."""
+    X = rng.standard_normal((int(rng.integers(4, 9)), 2))
+    hull = ConvexHull(X).vertices  # counterclockwise
+    t = rng.integers(len(hull))
+    a, b = X[hull[t]], X[hull[(t + 1) % len(hull)]]
+    outward = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+    c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 8.0) * REL_TOL * _distances(X).max()
+    row = a + rng.uniform(0.2, 0.8) * (b - a) + c * outward
+    inner = rng.dirichlet(np.ones(len(X)), size=2) @ X
+    return np.vstack([X, [row], inner])[rng.permutation(len(X) + 3)]
+
+
 def _corpus():
     """The seeded corpus and the raw samples of acceptance criteria 1, 2 and 5."""
     rng = np.random.default_rng(22)
@@ -87,6 +107,11 @@ def _corpus():
         X = kinds[i % 4](rng, k, n)
         offset = 10.0 ** rng.uniform(-1.0, 6.0) * rng.standard_normal(n)
         sets.append(10.0 ** rng.uniform(-3.0, 5.0) * X + offset)
+    for _ in range(300):
+        scale = rng.choice([1e-300, 1.0, 1e300])
+        offset = 10.0 ** rng.uniform(-1.0, 6.0) * rng.standard_normal(2)
+        sets.append(scale * (_near_edge_set(rng) + offset))
+    sets += [rng.standard_normal((int(rng.integers(17, 24)), 2)) for _ in range(20)]
     for n in (2, 3, 4):
         sets += [np.random.default_rng(1000 * n + i).standard_normal((12, n)) for i in range(100)]
         for pair in range(20):
@@ -104,25 +129,39 @@ def test_the_screen_never_disagrees_with_the_lp(monkeypatch, kernel):
     sent = []
 
     def counted(Ds):
-        sent.append(len(Ds))
+        sent.extend(D.tobytes() for D in Ds)
         return margin_directions(Ds)
 
     monkeypatch.setattr(polytope, "margin_directions", counted)
     got = hp.extreme_points_many(sets)
     assert [P.vertices.tobytes() for P in got] == [P.vertices.tobytes() for P in ref]
-    screened = crowded_rows = 0
-    for V, deltas, tol, crowded in records:
+    sent, screened, crowded_rows, planar = Counter(sent), 0, 0, Counter()
+    for (V, deltas, tol, crowded), P in zip(records, got):
         if len(V) == 1:
             continue
+        # the rows whose programs went to the LP; every program sent belongs to one row
+        open_ = np.zeros(len(V), dtype=bool)
+        for i, D in enumerate(_apart(V[None])[0]):
+            open_[i] = sent[D.tobytes()] > 0
+            sent[D.tobytes()] -= open_[i]
         if crowded:
+            assert open_.all()
             crowded_rows += len(V)
             continue
-        lone = _lone_faces(V[None], np.array([tol]))[0]
-        assert (deltas[lone] > tol).all()
-        screened += np.count_nonzero(lone)
-    # the LPs sent are every kept row but the screened ones: crowded sets send all of theirs
-    assert sum(sent) == sum(len(V) for V, *_ in records if len(V) > 1) - screened
+        if V.shape[1] != 2:
+            lone = _lone_faces(V[None], np.array([tol]))[0]
+            assert (deltas[lone] > tol).all() and (open_ == ~lone).all()
+            screened += np.count_nonzero(lone)
+            continue
+        # a row a planar screen decides is in the hull exactly when its LP margin is over tol
+        hull = {w.tobytes() for w in P.vertices}
+        kept = np.array([v.tobytes() in hull for v in V])
+        assert (kept[~open_] == (deltas[~open_] > tol)).all()
+        planar.update(kept=np.count_nonzero(~open_ & kept), sent=np.count_nonzero(open_),
+                      dropped=np.count_nonzero(~open_ & ~kept))
+    assert not +sent
     assert screened > 1000 and crowded_rows > 1000
+    assert planar["kept"] > 2000 and planar["dropped"] > 2000 and planar["sent"] > 100
     assert sum(crowded for *_, crowded in records) >= 200
 
 
@@ -133,7 +172,8 @@ def test_the_screen_never_disagrees_with_the_lp(monkeypatch, kernel):
     np.vstack([np.eye(4), -np.eye(4)]),
 ], ids=["triangle", "square", "octahedron", "cross4"])
 def test_a_hull_of_lone_faces_solves_no_lp(monkeypatch, points):
-    # every vertex is the lone best of a coordinate or two-coordinate sign vector
+    # every vertex is the lone best of a coordinate or two-coordinate sign vector, and in R^2
+    # of the bisector of its two edges
     def no_lp(Ds):
         raise AssertionError("margin LP sent")
 
