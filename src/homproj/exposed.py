@@ -3,9 +3,8 @@
 A vertex v is exposed when some direction u has its strict maximum over the
 polytope at v; a vertex pair (x, z) spans an exposed diameter when one u has
 its strict maximum at x and strict minimum at z. Both are decided by the
-separation-margin LP over the |u|_inf <= 1 box. Callers that need only the endpoint
-rows (theorem 2, no-parallel, transfer) first read the pairs that ``_screen`` certifies
-from the polytope's chords (theorem 2 also from bisectors), and solve pair LPs for the rest.
+separation-margin LP over the |u|_inf <= 1 box. Callers that need only endpoint rows (theorem
+2, no-parallel, transfer) skip it for the pairs that ``_screen`` certifies on their own programs.
 """
 
 import math
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTolerance, NotAVertex, PerturbationFailed, SingletonInput, ZeroDirection
-from .lp import _binade, _dots, _vector, margin_directions
+from .lp import _dots, _vector, margin_directions
 from .polytope import REL_TOL, _apart, _bisectors, _support_rows
 
 PERTURB_RETRIES = 64
@@ -124,19 +123,22 @@ def exposed_diameter_near(P, f, eps, seed=0):
     return _perturbation_search(P.dim, f, eps, seed, lambda g: _diameters_at(P, g[None])[0])
 
 
+def _pair_programs(V, I, J):
+    """(len I, 2 (k - 1), n) pair program rows of (v, w) = (V[I], V[J]): v - x for x != v, then
+    y - w for y != w as ``_apart(-V)``'s (-w) - (-y), which keeps the +0.0 that -(w - y) flips."""
+    return np.concatenate([_apart(V)[I], _apart(-V)[J]], axis=1)
+
+
 def _pair_diameters(P, I, J):
     """The exposed diameters of the row pairs (I[t], J[t]), i < j, that admit one, in pair order.
 
-    For each pair (v, w) the LP maximizes delta s.t. u.(v - x) >= delta for x != v,
-    u.(y - w) >= delta for y != w and |u|_inf <= 1; the pair qualifies iff delta >
-    REL_TOL * scale and one ``_diameters_at`` call over all such u / |u| finds it.
-    Rows y - w come from ``_apart(-V)``, whose (-w) - (-y) keeps the +0.0 that -(w - y) flips.
-    Every step is per pair, so a pair's verdict does not depend on which others share the call.
+    A pair qualifies iff its ``_pair_programs`` LP has delta > REL_TOL * scale and one
+    ``_diameters_at`` call over all such u / |u| finds it; each step is per pair, so no verdict
+    depends on the batch.
     """
-    V = P.vertices
     if not len(I):
         return []
-    deltas, us = margin_directions(np.concatenate([_apart(V)[I], _apart(-V)[J]], axis=1))
+    deltas, us = margin_directions(_pair_programs(P.vertices, I, J))
     keep = deltas > REL_TOL * P.scale
     U, pairs = us[keep], zip(I[keep].tolist(), J[keep].tolist())
     found = _diameters_at(P, U / np.sqrt(_dots(U, U))[:, None])
@@ -151,25 +153,23 @@ def exposed_diameters(P):
 
 
 def _screen(P, U=None):
-    """(k, k) mask of the pairs i < j certified as exposed diameters with no LP, by one support
-    call on [U; -U], U (the chords V[i] - V[j], i < j, by default) at its ``_binade`` scale.
-
-    Faces of u and -u that are lone vertices a, b with gaps above 4 sqrt(n) tol on the unit
-    u / |u|_2 certify {a, b}: u / |u|_inf is feasible for the pair's program with margin above
-    that, so delta* > 4 sqrt(n) tol, and as the LP's |u*|_2 <= sqrt(n), u* / |u*|_2 has both
-    gaps above 4 tol: ``_diameters_at`` accepts it. Rounding is outside this; tests check it.
-    """
+    """(k, k) mask of the pairs i < j that ``lp``'s screen rule certifies as exposed diameters. Each
+    row u of U (by default the chords V[i] - V[j], i < j), scaled to |u|_inf = 1 and turned so that
+    i < j are its argmax and argmin over V (zero if they agree), is feasible for the LP of
+    D = ``_pair_programs(V, i, j)``: min(D u) > 4 sqrt(n) tol gives delta* > 4 sqrt(n) tol, and as
+    |u*|_2 <= sqrt(n), ``_diameters_at`` then accepts u* / |u*|_2."""
     if P.num_vertices < 2:
         raise SingletonInput("exposed diameters need at least two vertices")
+    V, screened = P.vertices, np.zeros((P.num_vertices,) * 2, bool)
     if U is None:
-        U = np.subtract(*P.vertices[np.triu_indices(P.num_vertices, 1), :])
-    U = _binade(U, 1)[0]
-    _, on_face, margin = _support_rows(P, np.concatenate([U, -U]))
-    bar = 4.0 * math.sqrt(P.dim) * REL_TOL * P.scale * np.sqrt(_dots(U, U))
-    lone = ((on_face.sum(axis=1) == 1) & (margin > np.tile(bar, 2))).reshape(2, -1).all(axis=0)
-    a, b = on_face.argmax(axis=1).reshape(2, -1)[:, lone]  # the faces of u, then of -u
-    screened = np.zeros((P.num_vertices,) * 2, bool)
-    screened[np.minimum(a, b), np.maximum(a, b)] = True
+        U = np.subtract(*V[np.triu_indices(P.num_vertices, 1), :])
+    U = U / np.abs(U).max(axis=1, keepdims=True)
+    vals = np.matmul(V, U.T)
+    a, b = vals.argmax(axis=0), vals.argmin(axis=0)
+    i, j, U = np.minimum(a, b), np.maximum(a, b), U * np.sign(b - a)[:, None]
+    gaps = np.matmul(_pair_programs(V, i, j), U[..., None]).min(axis=(1, 2))
+    ok = gaps > 4.0 * math.sqrt(P.dim) * REL_TOL * P.scale
+    screened[i[ok], j[ok]] = True
     return screened
 
 

@@ -1,22 +1,22 @@
 """LP front end: backend selection and the separation-margin program.
 
-Every geometric predicate in the package reduces to one LP shape: find the
-direction u, |u|_inf <= 1, maximizing the smallest dot product u . d over a
-given list of difference vectors d. A strictly positive optimum certifies
-strict separation (extreme point, exposed vertex, exposed diameter). Each
-program is solved at its ``_binade`` scale with the kernel's fixed pivot
+Every geometric predicate in the package reduces to one LP shape: find the direction u,
+|u|_inf <= 1, maximizing the smallest u . d over a given list D of difference vectors d. A
+strictly positive optimum certifies strict separation (extreme point, exposed vertex, exposed
+diameter). Each program is solved at its ``_binade`` scale with the kernel's fixed pivot
 tolerance ``_simplex_py.PIVOT_TOL``.
 
-Callers that need many such programs at once (the open LPs of a stack of
-hulls, all pair LPs of one diameter enumeration) pass them together to
-``margin_directions``, which hands them to the kernel in one batch call. The
-parity contract is per LP: each result is bit-identical to solving that
-program alone, on either backend. Some hull rows send no program at all: the screens
-that decide them are ``polytope.extreme_points_many``'s.
+Callers with many programs at once (the open LPs of a stack of hulls, all pair LPs of one
+diameter enumeration) pass them together to ``margin_directions``, one kernel batch call. The
+parity contract is per LP: each result is bit for bit that program's alone, on either backend.
 
-The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used
-when its library loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy
-fallback ``_simplex_py`` is.
+One screen rule skips a program on a positive verdict: a feasible u of the very program the
+kernel would receive (the same D bytes) with min(D u) over a bar, as delta* >= min(D u): 2 tol
+for hull rows (``polytope.extreme_points_many``), 4 sqrt(n) tol for diameter pairs
+(``exposed._screen``). The planar hull drop is the one negative screen: no chord gap of pi.
+
+The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used when its library
+loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy fallback ``_simplex_py`` is.
 """
 
 import os

@@ -65,9 +65,9 @@ def _scale(diameter):
 def _bounded(V):
     """V if each row has |x|_2 < 2^1022 / sqrt(dim), else BadNumber (nan and inf too).
 
-    The one coordinate range: orthogonal projection keeps it, and inside it differences,
-    distances, LP deltas, V @ (u / 2^e) and the hull screen's D u (each entry d_a +- d_b)
-    stay below 2^1023. V / 2^1022 is exact for |x| >= 1.
+    The one coordinate range: orthogonal projection keeps it, and inside it differences, distances,
+    LP deltas, V u and D u at |u|_inf <= 1 (|D u| <= |d|_1: support rows, the pair screen) and the
+    hull screen's D u (entries d_a +- d_b) stay below 2^1023. V / 2^1022 is exact for |x| >= 1.
     """
     if not np.square(V * 2.0**-1022).sum(axis=-1).max(initial=0.0) * V.shape[-1] < 1.0:
         raise BadNumber("non-finite coordinates or |x|_2 >= 2^1022 / sqrt(dim)")
@@ -148,12 +148,12 @@ def extreme_points_many(stack):
     ``stack`` is an (S, k, n) array or any sequence of S (k_s, n_s) point
     sets. Each set is measured, deduplicated and tolerated on its own scale,
     exactly as if hulled alone. Sets of one shape share one distance stack.
-    Row i is kept without its LP if a feasible u has min(D u) > 2 tol on its program
-    D = ``_apart(V)[i]``, as delta* >= min(D u): in R^2 the ``_bisectors`` of the two rows of D
-    around their widest angular gap (at a vertex, the centre of its normal cone), else a sign
+    Row i is kept without its LP by ``lp``'s screen rule, a feasible u with min(D u) > 2 tol on its
+    program D = ``_apart(V)[i]``, as delta* >= min(D u): in R^2 the ``_bisectors`` of the two rows
+    of D around their widest angular gap (at a vertex, the centre of its normal cone), else a sign
     vector with one or two nonzero entries. A planar row whose rows of D leave no gap of
-    pi - 2 REL_TOL is dropped: it lies in the hull of the others, so delta* = 0. Sets of k points
-    in R^2 need O(k^2) work for this, and most make no LP call at all.
+    pi - 2 REL_TOL is dropped: it lies in the hull of the others, so delta* = 0. Sets of k
+    points in R^2 need O(k^2) work for this, and most make no LP call at all.
     The other rows of sets keeping the same number of distinct points send their D in one
     ``margin_directions`` call; its per-LP parity makes every result independent of the batch.
     Until ROADMAP item 7 lands, a set with two input rows within 2^10 tol sends every row.

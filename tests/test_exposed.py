@@ -415,14 +415,28 @@ def _near_flat_bodies():
     return [Polytope(V), Polytope(V @ [[0.0, 1.0], [-1.0, 0.0]])]
 
 
+def _translated_bodies():
+    """Gaussian bodies in R^2-R^4 and the near-flat kites, of diameter 1e-2 to 1 at offsets 1e3
+    to 1e6: at 1e6 half an ulp of a coordinate, 5.8e-11, is over 5 tol at diameter 1e-2."""
+    rng = np.random.default_rng(28)
+    bodies = []
+    for d in (1e-2, 1e-1, 1.0):
+        for c in (1e3, 1e6):
+            bodies += [extreme_points(c + d * rng.standard_normal((9, n))) for n in (2, 3, 4)]
+            bodies += [Polytope(c + d * P.vertices / P.diameter) for P in _near_flat_bodies()]
+    return bodies
+
+
 @pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
 def test_the_chord_screen_never_disagrees_with_the_enumeration(kernel):
     # every pair the screen certifies without an LP is one whose LP has delta* > sqrt(n) tol,
-    # so the diameter pairs are those of the full enumeration, also at 1e-300 and 1e300
+    # so the diameter pairs are those of the full enumeration, also at 1e-300 and 1e300 and
+    # on translated bodies
     rng = np.random.default_rng(26)
     spread = [s * rng.standard_normal((9, n)) for s in (1e-300, 1e300) for n in (2, 3, 4)]
     screened = 0
-    for P in _cover_corpus() + [extreme_points(X) for X in spread] + _near_flat_bodies():
+    bodies = _cover_corpus() + [extreme_points(X) for X in spread] + _near_flat_bodies()
+    for P in bodies + _translated_bodies():
         assert _diameter_pairs(P) == [(d.i, d.j) for d in exposed_diameters(P)]
         I, J = np.nonzero(_screen(P))
         V = P.vertices
@@ -430,3 +444,15 @@ def test_the_chord_screen_never_disagrees_with_the_enumeration(kernel):
         assert (deltas > np.sqrt(P.dim) * REL_TOL * P.scale).all()
         screened += len(I)
     assert screened > 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the pair LP reports a delta its own u "
+                   "does not reach, and the enumeration drops that pair")
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_a_body_and_its_mirror_image_list_equally_many_diameters(kernel):
+    # the vertex (0, e) is 1.2 tol above the edge of its neighbours; the LP of its pair with
+    # (0, -3) returns delta = 28 tol with a u whose min(D u) is -27 tol, so the enumeration
+    # drops that pair here and keeps its mirror image's
+    e = 1.2 * REL_TOL * np.sqrt(10.0)
+    P = Polytope(np.array([[-1.0, 0.0], [0.0, e], [1.0, 0.0], [0.0, -3.0]]))
+    assert len(exposed_diameters(P)) == len(exposed_diameters(negate(P)))
