@@ -1,9 +1,10 @@
 """Canonical V-representation of compact convex sets.
 
 A Polytope stores exactly the extreme points of its convex hull, sorted
-lexicographically (on a REL_TOL * scale grid so near-ties order stably). Its
-constructor alone admits the rows (``_bounded``), measures the diameter, sets
-the scale (``_scale``: the diameter, 1 for a singleton) and orders the rows.
+lexicographically (on a REL_TOL * scale grid so near-ties order stably).
+``_bounded`` admits rows and ``_measured`` alone takes the diameter, the scale
+(``_scale``: the diameter, 1 for a singleton) and the order of each stack entry:
+a constructor call is the one-set case, ``extreme_points_many`` the stacked one.
 All predicates compare gaps with REL_TOL * scale and ``_distances`` alone
 measures distances. So they are scale-invariant, and translation-invariant only
 while diameter / max|coordinate| stays well above machine epsilon; past that, a
@@ -24,7 +25,7 @@ REL_TOL = 1e-9
 class Polytope:
     """Extreme points (rows, canonical order) of a compact convex set, its diameter and scale.
 
-    A direct build bounds, measures and orders its rows; it trusts only that they are extreme.
+    A direct build is one set of the stacked rule; it trusts only that its rows are extreme.
     """
 
     vertices: np.ndarray
@@ -32,12 +33,7 @@ class Polytope:
     scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        V = _rows(self.vertices)
-        d = float(_distances(V).max(initial=0.0))
-        object.__setattr__(self, "diameter", d)
-        object.__setattr__(self, "scale", _scale(d))
-        object.__setattr__(self, "vertices", _canonical_sort(V, self.scale))
-        self.vertices.setflags(write=False)
+        _filled(self, *_measured(_rows(self.vertices)))
 
     @property
     def dim(self):
@@ -58,8 +54,8 @@ class SupportResult:
 
 
 def _scale(diameter):
-    """Scale of a set with this diameter: the one size policy of the package."""
-    return diameter if diameter > 0.0 else 1.0
+    """Scale of sets with these diameters: each diameter, 1 if it is 0; the one size policy."""
+    return diameter + (diameter == 0.0)
 
 
 def _bounded(V):
@@ -107,9 +103,27 @@ def _bisectors(D):
 
 
 def _canonical_sort(V, scale):
-    """Lexicographic row order on the REL_TOL * scale grid, ties by coordinates; a total order."""
-    cells = np.round((V - V.min(axis=0)) / (REL_TOL * scale))
-    return V[np.lexsort(np.concatenate([V.T[::-1], cells.T[::-1]]))]
+    """Rows of V (k, n) at a scale, or of each entry of an (S, k, n) stack at its own (S,), in
+    lexicographic order on the REL_TOL * scale grid, ties by coordinates; a total order."""
+    X = V.T  # (n, k) or (n, k, S): one key per coordinate, the scales on the last axis
+    cells = np.rint((X - X.min(axis=1, keepdims=True)) / (REL_TOL * scale))
+    order = np.lexsort(np.concatenate([X[::-1], cells[::-1]]), axis=0).T
+    return V[order] if V.ndim == 2 else V[np.arange(len(V))[:, None], order]
+
+
+def _measured(V):
+    """(canonical rows, diameter, ``_scale``) of V (k, n), or lists over (S, k, n) stack entries."""
+    d = _distances(V).max(axis=(-2, -1))
+    s = _scale(d)
+    return _canonical_sort(V, s), d.tolist(), s.tolist()
+
+
+def _filled(P, V, diameter, scale):
+    """Polytope P with its fields set to ``_measured`` output: the one path that sets them."""
+    V.setflags(write=False)
+    for name, value in (("vertices", V), ("diameter", diameter), ("scale", scale)):
+        object.__setattr__(P, name, value)
+    return P
 
 
 def _rows(points):
@@ -145,9 +159,10 @@ def extreme_points(points):
 def extreme_points_many(stack):
     """``extreme_points`` of each point set of a stack, as a list of Polytopes.
 
-    ``stack`` is an (S, k, n) array or any sequence of S (k_s, n_s) point
-    sets. Each set is measured, deduplicated and tolerated on its own scale,
-    exactly as if hulled alone. Sets of one shape share one distance stack.
+    ``stack`` is an (S, k, n) array, admitted in one ``_bounded`` call, or any sequence of S
+    (k_s, n_s) point sets, admitted one by one. Each set is measured, deduplicated and tolerated
+    on its own scale, exactly as if hulled alone: sets of one shape share one distance stack, and
+    the kept rows of sets of one count one ``_measured`` stack, the rule a direct build runs.
     Row i is kept without its LP by ``lp``'s screen rule, a feasible u with min(D u) > 2 tol on its
     program D = ``_apart(V)[i]``, as delta* >= min(D u): in R^2 the ``_bisectors`` of the two rows
     of D around their widest angular gap (at a vertex, the centre of its normal cone), else a sign
@@ -158,7 +173,8 @@ def extreme_points_many(stack):
     ``margin_directions`` call; its per-LP parity makes every result independent of the batch.
     Until ROADMAP item 7 lands, a set with two input rows within 2^10 tol sends every row.
     """
-    sets = [_rows(points) for points in stack]
+    whole = isinstance(stack, np.ndarray) and stack.ndim == 3 and stack.size > 0
+    sets = list(_bounded(_floats(stack, "points"))) if whole else [_rows(P) for P in stack]
     if not sets:
         raise EmptyInput("no point sets")
 
@@ -166,10 +182,11 @@ def extreme_points_many(stack):
     scales, crowded = np.zeros(len(sets)), np.zeros(len(sets), dtype=bool)
     for _, index in _groups(P.shape for P in sets):
         dist = _distances(np.stack([sets[s] for s in index]))
-        scales[index] = [_scale(d) for d in dist.max(axis=(1, 2)).tolist()]
+        scales[index] = _scale(dist.max(axis=(1, 2)))
         tol = REL_TOL * scales[index][:, None, None]
-        crowded[index] = np.triu(dist <= 2**10 * tol, 1).any(axis=(1, 2))
-        near = np.triu(dist <= tol, 1)
+        upper = ~np.tri(dist.shape[1], dtype=bool)  # the pairs i < j
+        crowded[index] = (upper & (dist <= 2**10 * tol)).any(axis=(1, 2))
+        near = upper & (dist <= tol)
         for j in np.flatnonzero(near.any(axis=(1, 2))):
             keep = np.ones(near.shape[1], dtype=bool)
             for i in np.flatnonzero(near[j].any(axis=1)):
@@ -203,7 +220,13 @@ def extreme_points_many(stack):
             keep[open_] = deltas > tol[open_]
         for s, rows in zip(index, keep.reshape(-1, k)):
             sets[s] = sets[s][rows]
-    return [Polytope(V) for V in sets]
+    hulls = [None] * len(sets)
+    for (k, _), index in _groups(V.shape for V in sets):  # kept rows were admitted at entry
+        if k == 0:
+            raise EmptyInput("no row of a point set is kept")
+        for s, V, d, scale in zip(index, *_measured(np.stack([sets[s] for s in index]))):
+            hulls[s] = _filled(object.__new__(Polytope), V, d, scale)
+    return hulls
 
 
 def _support_rows(P, U):

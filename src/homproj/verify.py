@@ -79,7 +79,9 @@ def _projection_sweep(name, P1, P2, B, seed):
     where z + Q2 rounds off Q1 although a point always maps onto a point.
     """
     direct = detect_homothety(P1, P2)
-    hulls = extreme_points_many([Q for pair in zip(_shadow(P1, B), _shadow(P2, B)) for Q in pair])
+    shadows = [Q for pair in zip(_shadow(P1, B), _shadow(P2, B)) for Q in pair]
+    same = P1.num_vertices == P2.num_vertices  # then one (2S, k, m) array, admitted at once
+    hulls = extreme_points_many(np.array(shadows) if same else shadows)
     homothetic_count = 0
     first_bad = None
     for basis, Q1, Q2 in zip(B, hulls[::2], hulls[1::2]):

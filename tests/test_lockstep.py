@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -647,6 +648,43 @@ def test_an_image_far_out_is_ordered_at_its_own_scale():
         assert hp.Polytope(rows[list(p)]).vertices.tobytes() == image.vertices.tobytes()
 
 
+def _admission_stack(rng, k, n):
+    """(S, k, n) stack: every ``SET_KINDS`` kind (mixed kept counts) and a set whose first
+    coordinates lie within a sort-grid cell of each other (near-ties), each at scales 1e-300, 1
+    and 1e300 with offsets up to 1e6; and a set whose rows lie 16 ulps inside the ``_bounded``
+    edge."""
+    ties = rng.standard_normal((k, n))
+    ties[:, 0] = np.round(ties[0, 0], 1) + REL_TOL * rng.uniform(-1.0, 1.0, k)
+    sets = []
+    for X in [_point_set(rng, kind, k, n) for kind in SET_KINDS] + [ties]:
+        X = X / np.abs(X).max()
+        for scale in (1e-300, 1.0, 1e300):
+            offset = rng.choice([0.0, 1.0, 1e6]) * rng.uniform(-1.0, 1.0, n)
+            sets.append(scale * (X + offset))
+    U = rng.standard_normal((k, n))
+    edge = U / np.linalg.norm(U, axis=1, keepdims=True) * (2.0**1022 / math.sqrt(n))
+    sets.append(hp.polytope._bounded(edge * (1.0 - 2.0**-48)))
+    with pytest.raises(hp.BadNumber):
+        hp.polytope._bounded(edge * (1.0 + 2.0**-44))
+    return np.array(sets)
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_stacked_admission_matches_a_direct_build_of_each_hull(kernel):
+    # an (S, k, n) array is admitted, measured and ordered as one stack per kept count, a list
+    # set by set; each hull has the bytes, diameter and scale of Polytope(its kept rows)
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4):
+        for k in (2, 5, 9):
+            stack = _admission_stack(rng, k, n)
+            for given in (stack, list(stack)):
+                for points, hull in zip(stack, hp.extreme_points_many(given)):
+                    alone = hp.Polytope(_frozen_hull_rows(points, hull)[0])
+                    assert hull.vertices.tobytes() == alone.vertices.tobytes()
+                    assert _bits(hull.diameter) == _bits(alone.diameter)
+                    assert _bits(hull.scale) == _bits(alone.scale)
+
+
 def _count_margin_calls(monkeypatch):
     calls = []
 
@@ -829,6 +867,41 @@ def test_sweep_hulls_all_shadows_in_one_lp_call(monkeypatch):
         report = hp.verify_theorem1(*pairs[pair], m, 8, 5)
         assert report.verdict == "pass" and report.passes == 8
         assert len(calls) == sent
+
+
+def _spy(monkeypatch, owner, name, record):
+    """Patch owner.name to call through; the list it returns gets record(*args, result) per call."""
+    calls, real = [], getattr(owner, name)
+
+    def called(*args):
+        result = real(*args)
+        calls.append(record(*args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, called)
+    return calls
+
+
+def test_sweep_admits_its_shadows_once_and_sorts_each_kept_count_once(monkeypatch):
+    # bodies of one vertex count send their shadows as one (2S, k, m) array: one _bounded call,
+    # one stacked sort per kept count and no per-set constructor; others send a list, set by set
+    pairs = _sweep_pairs()
+    bounded = _spy(monkeypatch, hp.polytope, "_bounded", lambda V, out: V.shape)
+    sorts = _spy(monkeypatch, hp.polytope, "_canonical_sort", lambda V, scale, out: V.shape)
+    built = _spy(monkeypatch, hp.Polytope, "__post_init__", lambda P, out: P)
+    hulls = _spy(monkeypatch, verify, "extreme_points_many", lambda stack, out: out)
+    for pair, m in (("homothetic_4d", 3), ("moved_cube", 2), ("cube_tetrahedron", 2)):
+        P1, P2 = pairs[pair]
+        for calls in (bounded, sorts, hulls):
+            calls.clear()
+        hp.verify_theorem1(P1, P2, m, 8, 5)
+        if P1.num_vertices == P2.num_vertices:
+            assert bounded == [(16, P1.num_vertices, m)]
+        else:
+            assert bounded == [(P1.num_vertices, m), (P2.num_vertices, m)] * 8
+        groups = Counter((Q.num_vertices, Q.dim) for Q in hulls[0])
+        assert sorted(sorts) == sorted((count, k, n) for (k, n), count in groups.items())
+        assert not built
 
 
 def _fail_second_frame(monkeypatch):

@@ -234,6 +234,29 @@ def test_direct_build_refuses_what_it_cannot_hold(rows, error):
     assert isinstance(info.value, KernelError)
 
 
+def test_stacked_admission_refuses_what_set_by_set_admission_refuses():
+    # an (S, k, n) array is admitted in one _bounded call and a list set by set, to one verdict
+    stack = np.random.default_rng(29).standard_normal((3, 4, 2))
+    edge = 2.0**1022 / math.sqrt(2.0)
+    for row, error in (([np.nextafter(edge, 0.0), 0.0], None), ([1.000001 * edge, 0.0], BadNumber),
+                       ([math.nan, 0.0], BadNumber), ([0.0, -math.inf], BadNumber)):
+        X = stack.copy()
+        X[1, 2] = row
+        for given in (X, list(X)):
+            if error is None:
+                assert extreme_points_many(given)[1].vertices[:, 0].max() == row[0]
+            else:
+                with pytest.raises(error):
+                    extreme_points_many(given)
+    with pytest.raises(DimensionMismatch):
+        extreme_points_many([stack[0], [[0.0, 1.0], [1.0]]])
+    # the 1e93 set keeps no row (ROADMAP item 7), so its hull is refused, in an array or a list
+    far = np.array([np.random.default_rng(7).standard_normal((4, 3)), NO_ROW_LEFT])
+    for given in (far, list(far), np.zeros((2, 0, 3)), np.zeros((0, 4, 3)), []):
+        with pytest.raises(EmptyInput):
+            extreme_points_many(given)
+
+
 def test_direct_build_is_measured_and_sorted():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -365,6 +388,13 @@ def _open_hull_defect(name, points, raises, reason):
     return pytest.param(points, marks=mark, id=name)
 
 
+NO_ROW_LEFT = [
+    [6.633728468172425e+93, -5.575019412920714e+93, 1.9091473298488146e+94],
+    [9.122939166139137e+93, -5.685367304818763e+93, 1.8610854852465955e+94],
+    [9.122939164959114e+93, -5.685367306654015e+93, 1.8610854855416868e+94],
+    [6.633728467039167e+93, -5.575019411544267e+93, 1.9091473296360514e+94],
+]
+
 # open defects of near-duplicate rows (ROADMAP trust item 7), pinned until a fix decides the pair
 OPEN_HULL_DEFECTS = [
     _open_hull_defect(
@@ -380,11 +410,7 @@ OPEN_HULL_DEFECTS = [
         AssertionError, "both rows of a near-duplicate pair are dropped: one vertex is left",
     ),
     _open_hull_defect(
-        "no_row_left",
-        [[6.633728468172425e+93, -5.575019412920714e+93, 1.9091473298488146e+94],
-         [9.122939166139137e+93, -5.685367304818763e+93, 1.8610854852465955e+94],
-         [9.122939164959114e+93, -5.685367306654015e+93, 1.8610854855416868e+94],
-         [6.633728467039167e+93, -5.575019411544267e+93, 1.9091473296360514e+94]],
+        "no_row_left", NO_ROW_LEFT,
         EmptyInput, "both near-duplicate pairs are dropped: no row is left",
     ),
 ]
