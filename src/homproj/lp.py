@@ -10,10 +10,10 @@ Callers with many programs at once (the open LPs of a stack of hulls, all pair L
 diameter enumeration) pass them together to ``margin_directions``, one kernel batch call. The
 parity contract is per LP: each result is bit for bit that program's alone, on either backend.
 
-One screen rule skips a program on a positive verdict: a feasible u of the very program the
-kernel would receive (the same D bytes) with min(D u) over a bar, as delta* >= min(D u): 2 tol
-for hull rows (``polytope.extreme_points_many``), 4 sqrt(n) tol for diameter pairs
-(``exposed._screen``). The planar hull drop is the one negative screen: no chord gap of pi.
+One screen rule skips a program on a positive verdict: a feasible u of the very program the kernel
+would receive (the same D bytes) with min(D u) over a bar, as delta* >= min(D u): 2 tol for hull
+rows (``polytope.extreme_points_many``), 4 sqrt(n) tol for diameter pairs (``exposed._screen``).
+Hull drops prove delta* = 0: no chord gap of pi in R^2, 2 tol inside every facet in R^3.
 
 The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used when its library
 loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy fallback ``_simplex_py`` is.

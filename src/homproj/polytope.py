@@ -12,9 +12,11 @@ translation rounds away the very differences the predicates compare.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
+from ._simplex_py import CHUNK_CELLS
 from .errors import BadDims, BadNumber, DimensionMismatch, EmptyInput, ZeroDirection
 from .lp import _binade, _dots, _floats, _vector, margin_directions
 
@@ -62,8 +64,8 @@ def _bounded(V):
     """V if each row has |x|_2 < 2^1022 / sqrt(dim), else BadNumber (nan and inf too).
 
     The one coordinate range: orthogonal projection keeps it, and inside it differences, distances,
-    LP deltas, V u and D u at |u|_inf <= 1 (|D u| <= |d|_1: support rows, the pair screen) and the
-    hull screen's D u (entries d_a +- d_b) stay below 2^1023. V / 2^1022 is exact for |x| >= 1.
+    LP deltas, and V u and D u at |u|_inf <= 1 (|D u| <= |d|_1: support rows, the pair and hull
+    screens) stay below 2^1023. V / 2^1022 is exact for |x| >= 1.
     """
     if not np.square(V * 2.0**-1022).sum(axis=-1).max(initial=0.0) * V.shape[-1] < 1.0:
         raise BadNumber("non-finite coordinates or |x|_2 >= 2^1022 / sqrt(dim)")
@@ -100,6 +102,44 @@ def _bisectors(D):
     W, (a, b) = D / np.abs(D).max(axis=-1, keepdims=True), np.nonzero(np.tri(D.shape[-2], k=-1).T)
     W = W / np.sqrt(_dots(W, W))[..., None]
     return (np.take(W, a, axis=-2) + np.take(W, b, axis=-2)) / 2.0
+
+
+@cache
+def _triples(k):
+    """Shared, read only: the (k, 2T) columns e_b - e_a, then e_c - e_a, of the T = C(k, 3) row
+    triples a < b < c, the flat index of (a, t) in (k, T), and the (k, T) mask of their rows."""
+    r = np.arange(k)
+    a, b, c = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    t, E = np.arange(len(a)), np.zeros((k, 2, len(a)))
+    E[b, 0, t], E[c, 1, t], E[a, :, t] = 1.0, 1.0, -1.0
+    through = (r[:, None] == np.stack([a, b, c])[:, None]).any(axis=0) * 1.0
+    return E.reshape(k, -1), a * len(a) + t, through
+
+
+def _facets(V, scale):
+    """(u (G k, 1, 3), drop (G k,)) of the R^3 facet screen of a (G, k, 3) stack at (G,) scales.
+
+    On X = (V - V[0]) / scale, |X| <= 1 (rounded relative to V - V[0], not to the offset), triple
+    a < b < c spans N = (X_b - X_a) x (X_c - X_a), with heights h_x = N X_x - N X_a that rounding
+    moves by under 2^-48. Its plane is accepted with outward sign s if N != 0 and s h_x <= REL_TOL
+    at every row x, so every facet of conv(X) is. A row with s h < -(2 REL_TOL |N| + 2^-46) under
+    every accepted plane (one at least) is then over 2 tol inside every facet, so delta* = 0, while
+    a vertex lies on its facets' planes; a plane accepted with both signs (flat) drops no row. u
+    sums the unit outward normals of the accepted planes through each row, at |u|_inf = 1.
+    """
+    X, (E, at, through) = (V - V[:, :1]) / scale[:, None, None], _triples(V.shape[1])
+    P, Q = np.split(np.matmul(X.swapaxes(1, 2), E), 2, axis=2)  # (G, 3, T): X_b - X_a, X_c - X_a
+    N = np.stack([P[:, j] * Q[:, l] - P[:, l] * Q[:, j] for j, l in ((1, 2), (2, 0), (0, 1))], 1)
+    h = np.matmul(X, N)  # (G, k, T): N X_x, reduced over the rows (axis 1)
+    o, norm = np.take(h.reshape(len(h), -1), at, axis=1), np.sqrt((N * N).sum(axis=1))
+    up = (h.max(axis=1) - o <= REL_TOL) & (norm > 0.0)
+    down = (h.min(axis=1) - o >= -REL_TOL) & (norm > 0.0)
+    s = up - down * 1.0
+    bar = np.where(up == down, np.where(up, -np.inf, np.inf), s * o - 2 * REL_TOL * norm - 2.0**-46)
+    h *= s[:, None]
+    drop = (h < bar[:, None]).all(axis=2) & (up | down).any(axis=1)[:, None]
+    u = np.matmul(through, (N * (s / np.maximum(norm, 1e-300))[:, None]).swapaxes(1, 2))
+    return (u / np.maximum(np.abs(u).max(2)[..., None], 1e-300)).reshape(-1, 1, 3), drop.ravel()
 
 
 def _canonical_sort(V, scale):
@@ -165,10 +205,11 @@ def extreme_points_many(stack):
     the kept rows of sets of one count one ``_measured`` stack, the rule a direct build runs.
     Row i is kept without its LP by ``lp``'s screen rule, a feasible u with min(D u) > 2 tol on its
     program D = ``_apart(V)[i]``, as delta* >= min(D u): in R^2 the ``_bisectors`` of the two rows
-    of D around their widest angular gap (at a vertex, the centre of its normal cone), else a sign
-    vector with one or two nonzero entries. A planar row whose rows of D leave no gap of
-    pi - 2 REL_TOL is dropped: it lies in the hull of the others, so delta* = 0. Sets of k
-    points in R^2 need O(k^2) work for this, and most make no LP call at all.
+    of D around their widest angular gap; in R^3 with k >= 4 and k C(k, 3) <= CHUNK_CELLS, its
+    summed facet normals (``_facets``); else a sign vector with one or two nonzero entries. A row
+    is dropped in R^2 if its rows of D leave no gap of pi - 2 REL_TOL, in R^3 if it lies over 2 tol
+    inside every facet: then it is in the hull of the others, so delta* = 0. Most such sets of k
+    points make no LP call, for O(k^2) work in R^2 and O(k^4) in R^3.
     The other rows of sets keeping the same number of distinct points send their D in one
     ``margin_directions`` call; its per-LP parity makes every result independent of the batch.
     Until ROADMAP item 7 lands, a set with two input rows within 2^10 tol sends every row.
@@ -197,7 +238,8 @@ def extreme_points_many(stack):
     for (k, n), index in _groups(V.shape for V in sets):
         if k == 1:
             continue
-        D = _apart(np.stack([sets[s] for s in index])).reshape(-1, k - 1, n)
+        V = np.stack([sets[s] for s in index])
+        D = _apart(V).reshape(-1, k - 1, n)
         tol, screen = np.repeat(REL_TOL * scales[index], k), np.repeat(~crowded[index], k)
         if n == 2:  # the rows of each D by angle, and their widest gap
             A = np.angle(D.view(np.complex128)[..., 0])
@@ -206,15 +248,17 @@ def extreme_points_many(stack):
             gaps = np.diff(A, axis=1, append=A[:, :1] + 2.0 * np.pi)
             g = gaps.argmax(axis=1)[:, None]
             pair = np.take_along_axis(order, np.concatenate([g, (g + 1) % (k - 1)], axis=1), axis=1)
-            u = _bisectors(np.take_along_axis(D, pair[..., None], axis=1))
-            keep = (np.matmul(D, u.swapaxes(1, 2))[..., 0].min(axis=1) > 2.0 * tol) & screen
-            open_ = ~keep & ~(screen & (gaps.max(axis=1) < np.pi - 2.0 * REL_TOL))
-        else:
+            U = _bisectors(np.take_along_axis(D, pair[..., None], axis=1))
+            drop = gaps.max(axis=1) < np.pi - 2.0 * REL_TOL
+        elif n == 3 and k >= 4 and k * k * (k - 1) * (k - 2) <= 6 * CHUNK_CELLS:
+            U, drop = _facets(V, scales[index])  # a set's (k, C(k, 3)) heights within CHUNK_CELLS
+        else:  # the sign vectors with one or two nonzero entries
             I, (i, j) = np.eye(n), np.triu_indices(n, 1)
             U = np.concatenate([I, I[i] + I[j], I[i] - I[j]])
-            gaps = np.matmul(D, np.concatenate([U, -U]).T).min(axis=1)
-            keep = (gaps > 2.0 * tol[:, None]).any(axis=1) & screen
-            open_ = ~keep
+            U, drop = np.concatenate([U, -U]), False
+        gaps = np.matmul(D, U.swapaxes(-1, -2)).min(axis=1)
+        keep = (gaps > 2.0 * tol[:, None]).any(axis=1) & screen
+        open_ = ~keep & ~(screen & drop)
         if open_.any():
             deltas, _ = margin_directions(D[open_])
             keep[open_] = deltas > tol[open_]

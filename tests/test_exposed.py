@@ -259,11 +259,10 @@ def test_exposed_diameter_near_solves_no_lp(monkeypatch, square, triangle, cube,
         for f in np.vstack([np.eye(P.dim), -np.eye(P.dim)]):
             d = exposed_diameter_near(P, f, 1e-3)
             assert np.linalg.norm(f - d.witness) <= 1e-3
-    # the probe is live: a point inside a tetrahedron is no lone face of any direction, and the
-    # planar screens do not see R^3, so it needs an LP
+    # the probe is live: a point inside a 4-simplex is no lone face of any direction, and the
+    # planar and facet screens do not see R^4, so it needs an LP
     with pytest.raises(AssertionError, match="LP kernel used"):
-        extreme_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                        [0.25, 0.25, 0.25]])
+        extreme_points(np.vstack([np.zeros(4), np.eye(4), np.full(4, 0.2)]))
 
 
 def test_exposed_diameters_square_matches_grid_oracle(square):

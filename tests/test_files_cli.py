@@ -226,9 +226,10 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
 
 def test_cli_failed_margin_lp_exits_2(monkeypatch, tmp_path, capsys):
     # a kernel that loses a bounded program reports UNBOUNDED: an input error line, not exit 1;
-    # the centre of the octahedron is no lone face of any direction and not planar, so its LP runs
-    centred = _write(tmp_path, "p.json", '{"dim": 3, "vertices": '
-                     '[[1,0,0],[-1,0,0],[0,1,0],[0,-1,0],[0,0,1],[0,0,-1],[0,0,0]]}')
+    # the centre of the R^4 cross-polytope is no lone face of any direction, and no planar or
+    # facet screen sees R^4, so its LP runs
+    cross = np.vstack([np.eye(4), -np.eye(4), np.zeros((1, 4))])
+    centred = _write(tmp_path, "p.json", json.dumps({"dim": 4, "vertices": cross.tolist()}))
 
     def unbounded(A, b, c):
         return np.full(len(A), UNBOUNDED), np.zeros(len(A)), np.zeros((len(A), A.shape[2]))

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import homproj as hp
 from homproj import _simplex_py, files, geometry, homothety, lp, verify
-from homproj._simplex_py import OPTIMAL, PIVOT_TOL, UNBOUNDED, simplex_maximize_batch
+from homproj._simplex_py import CHUNK_CELLS, OPTIMAL, PIVOT_TOL, UNBOUNDED, simplex_maximize_batch
 from homproj.errors import DependentInput
 from homproj.geometry import GRAM_TOL, RANK_TOL
 from homproj.lp import margin_directions
@@ -742,16 +742,45 @@ def _dedupe_reference(points):
     return kept
 
 
+def _frozen_facet_rows(V, scale, tol):
+    """Frozen R^3 facet screen of one set of V (k, 3): a mask of the rows it decides. Each triple
+    a < b < c of X = (V - V[0]) / scale spans N = (X_b - X_a) x (X_c - X_a), and with a sign s
+    its plane is accepted when N != 0 and s h_x <= REL_TOL at every row x, h_x = N . X_x - N . X_a.
+    A row under every accepted plane (one at least) by more than 2 REL_TOL |N| + 2^-46 is
+    dropped; a row is kept when the sum of the unit outward normals of the accepted planes of its
+    triples, scaled to |u|_inf = 1, has min(D u) > 2 tol on its program D."""
+    X, planes = (V - V[0]) / scale, []
+    for t in itertools.combinations(range(len(V)), 3):
+        p, q = X[t[1]] - X[t[0]], X[t[2]] - X[t[0]]
+        N = np.array([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                      p[0] * q[1] - p[1] * q[0]])
+        h, norm = X @ N, math.sqrt(N @ N)
+        h = h - h[t[0]]
+        planes += [(t, s * N / norm, s * h, norm) for s in (1.0, -1.0)
+                   if norm > 0.0 and (s * h <= REL_TOL).all()]
+    decided = np.zeros(len(V), dtype=bool)
+    for i in range(len(V)):
+        below = all(h[i] < -(2.0 * REL_TOL * norm + 2.0**-46) for _, _, h, norm in planes)
+        u = sum((unit for t, unit, _, _ in planes if i in t), np.zeros(3))
+        top = np.abs(u).max()
+        D = V[i] - np.delete(V, i, axis=0)
+        decided[i] = (bool(planes) and below) or (top > 0.0 and (D @ (u / top)).min() > 2 * tol)
+    return decided
+
+
 def _open_rows(points):
     """Frozen screen of one hull: a mask of the rows kept by its near-duplicate pass that go to
-    the LP. All of them if two input rows lie within 2^10 tol; else those that no sign vector
-    with one or two nonzero entries has as its lone best by more than 2 tol (values measured
-    from the first kept row: V[i] - V[0], then one sum of two coordinates)."""
+    the LP. All of them if two input rows lie within 2^10 tol; else, for 4 to 21 rows in R^3
+    (k C(k, 3) <= CHUNK_CELLS), those the frozen facet screen leaves undecided; else those that
+    no sign vector with one or two nonzero entries has as its lone best by more than 2 tol
+    (values measured from the first kept row: V[i] - V[0], then one sum of two coordinates)."""
     dist = _distances(points)
     tol = REL_TOL * (dist.max() or 1.0)
     V = points[_dedupe_reference(points)]
     if len(V) == 1 or (dist[np.triu_indices(len(points), 1)] <= 2**10 * tol).any():
         return np.full(len(V), len(V) > 1)
+    if V.shape[1] == 3 and 4 <= len(V) and len(V) * math.comb(len(V), 3) <= CHUNK_CELLS:
+        return ~_frozen_facet_rows(V, dist.max(), tol)
     X, lone = V - V[0], np.zeros(len(V), dtype=bool)
     for u in itertools.product((-1.0, 0.0, 1.0), repeat=V.shape[1]):
         if 1 <= np.count_nonzero(u) <= 2:
@@ -859,10 +888,13 @@ def test_sweep_reports_match_the_per_frame_sweep(monkeypatch, pair, seed, kernel
 
 
 def test_sweep_hulls_all_shadows_in_one_lp_call(monkeypatch):
-    # the shadows of an m = 3 sweep share one call; the planar screens decide every row of the
-    # m = 2 shadows of the moved cube, whose sweep makes no call at all
+    # the R^4 shadows of an m = 4 sweep share one call; the facet screen decides every row of the
+    # m = 3 shadows of the 4-D pair, and the planar screens every row of the m = 2 shadows of the
+    # moved cube, so those sweeps make no call at all
     pairs, calls = _sweep_pairs(), _count_margin_calls(monkeypatch)
-    for pair, m, sent in (("homothetic_4d", 3, 1), ("moved_cube", 2, 0)):
+    P5 = hp.random_polytope(5, 12, 19)
+    pairs["homothetic_5d"] = (hp.apply_homothety(P5, np.arange(5.0), 0.3), P5)
+    for pair, m, sent in (("homothetic_5d", 4, 1), ("homothetic_4d", 3, 0), ("moved_cube", 2, 0)):
         calls.clear()
         report = hp.verify_theorem1(*pairs[pair], m, 8, 5)
         assert report.verdict == "pass" and report.passes == 8
@@ -1225,6 +1257,8 @@ def test_separation_programs_match_the_frozen_builders(monkeypatch, kernel):
         X = 10.0 ** rng.uniform(-3.0, 3.0, (20, 1, 1)) * rng.standard_normal((20, k, n))
         if n == 2:  # crowded (a row 8 tol from another), so the planar screens leave every row open
             X[:, -1] = X[:, 0] + 8 * REL_TOL * _distances(X).max(axis=(1, 2))[:, None] * [0.6, 0.8]
+        if n == 3:  # every other set crowded, as the facet screen decides the rows of the others
+            X[::2, -1] = X[::2, 0] + 8 * REL_TOL * _distances(X[::2]).max(axis=(1, 2))[:, None] / 3**0.5
         stacks.append(X + shift)
     sent = certified = 0
     for V in stacks:
