@@ -96,12 +96,26 @@ def _apart(V):
     return V[..., :, None, :] - V[..., j + (j >= np.arange(k)[:, None]), :]
 
 
+@cache
+def _pairs(k):
+    """Shared, read only: the row-major index arrays (I, J) of the pairs I < J of k rows."""
+    I, J = np.triu_indices(k, 1)
+    I.flags.writeable = J.flags.writeable = False
+    return I, J
+
+
 def _bisectors(D):
     """(..., r (r - 1) / 2, n) half sums of the unit rows of D (..., r, n), two at a time: feasible
     directions of D's program. A polygon vertex's two edge units sum to its normal cone's centre."""
-    W, (a, b) = D / np.abs(D).max(axis=-1, keepdims=True), np.nonzero(np.tri(D.shape[-2], k=-1).T)
+    W, (a, b) = D / np.abs(D).max(axis=-1, keepdims=True), _pairs(D.shape[-2])
     W = W / np.sqrt(_dots(W, W))[..., None]
     return (np.take(W, a, axis=-2) + np.take(W, b, axis=-2)) / 2.0
+
+
+def _cross(A, B, axis):
+    """Cross products of A and B along ``axis`` (length 3), entries a_j b_l - a_l b_j as written."""
+    A, B = np.moveaxis(A, axis, 0), np.moveaxis(B, axis, 0)
+    return np.stack([A[j] * B[l] - A[l] * B[j] for j, l in ((1, 2), (2, 0), (0, 1))], axis)
 
 
 @cache
@@ -116,24 +130,36 @@ def _triples(k):
     return E.reshape(k, -1), a * len(a) + t, through
 
 
-def _facets(V, scale):
-    """(u (G k, 1, 3), drop (G k,)) of the R^3 facet screen of a (G, k, 3) stack at (G,) scales.
+def _planes(V, scale):
+    """The vertex-triple planes of a (G, k, 3) stack at (G,) scales, the one enumeration that the
+    R^3 hull and pair screens read: (N (G, 3, T), h (G, k, T), o (G, T), |N| (G, T), up (G, T),
+    down (G, T), through (k, T)).
 
     On X = (V - V[0]) / scale, |X| <= 1 (rounded relative to V - V[0], not to the offset), triple
-    a < b < c spans N = (X_b - X_a) x (X_c - X_a), with heights h_x = N X_x - N X_a that rounding
-    moves by under 2^-48. Its plane is accepted with outward sign s if N != 0 and s h_x <= REL_TOL
-    at every row x, so every facet of conv(X) is. A row with s h < -(2 REL_TOL |N| + 2^-46) under
-    every accepted plane (one at least) is then over 2 tol inside every facet, so delta* = 0, while
-    a vertex lies on its facets' planes; a plane accepted with both signs (flat) drops no row. u
-    sums the unit outward normals of the accepted planes through each row, at |u|_inf = 1.
+    a < b < c spans N = (X_b - X_a) x (X_c - X_a), with heights h_x = N X_x and o = h_a that
+    rounding moves by under 2^-48. Its plane is accepted up (down) if N != 0 and h_x - o <= REL_TOL
+    (>= -REL_TOL) at every row x: every facet of conv(X) is, in its outward sign, and a flat plane
+    both ways.
     """
     X, (E, at, through) = (V - V[:, :1]) / scale[:, None, None], _triples(V.shape[1])
     P, Q = np.split(np.matmul(X.swapaxes(1, 2), E), 2, axis=2)  # (G, 3, T): X_b - X_a, X_c - X_a
-    N = np.stack([P[:, j] * Q[:, l] - P[:, l] * Q[:, j] for j, l in ((1, 2), (2, 0), (0, 1))], 1)
+    N = _cross(P, Q, 1)
     h = np.matmul(X, N)  # (G, k, T): N X_x, reduced over the rows (axis 1)
     o, norm = np.take(h.reshape(len(h), -1), at, axis=1), np.sqrt((N * N).sum(axis=1))
     up = (h.max(axis=1) - o <= REL_TOL) & (norm > 0.0)
     down = (h.min(axis=1) - o >= -REL_TOL) & (norm > 0.0)
+    return N, h, o, norm, up, down, through
+
+
+def _facets(V, scale):
+    """(u (G k, 1, 3), drop (G k,)) of the R^3 facet screen of a (G, k, 3) stack at (G,) scales.
+
+    On the accepted ``_planes``, outward sign s, a row with s h < s o - (2 REL_TOL |N| + 2^-46)
+    under every accepted plane (one at least) is over 2 tol inside every facet, so delta* = 0, while
+    a vertex lies on its facets' planes; a plane accepted with both signs (flat) drops no row. u
+    sums the unit outward normals of the accepted planes through each row, at |u|_inf = 1.
+    """
+    N, h, o, norm, up, down, through = _planes(V, scale)
     s = up - down * 1.0
     bar = np.where(up == down, np.where(up, -np.inf, np.inf), s * o - 2 * REL_TOL * norm - 2.0**-46)
     h *= s[:, None]
@@ -253,7 +279,7 @@ def extreme_points_many(stack):
         elif n == 3 and k >= 4 and k * k * (k - 1) * (k - 2) <= 6 * CHUNK_CELLS:
             U, drop = _facets(V, scales[index])  # a set's (k, C(k, 3)) heights within CHUNK_CELLS
         else:  # the sign vectors with one or two nonzero entries
-            I, (i, j) = np.eye(n), np.triu_indices(n, 1)
+            I, (i, j) = np.eye(n), _pairs(n)
             U = np.concatenate([I, I[i] + I[j], I[i] - I[j]])
             U, drop = np.concatenate([U, -U]), False
         gaps = np.matmul(D, U.swapaxes(-1, -2)).min(axis=1)

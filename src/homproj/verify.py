@@ -12,7 +12,7 @@ from .exposed import _antipodal_rows, _diameter_pairs
 from .geometry import _frames
 from .homothety import detect_homothety, homothety_record
 from .paraboloid import ParaboloidSpec, _homotheties, _parabolas, paraboloid_homothetic
-from .polytope import _distances, _shadow, extreme_points_many
+from .polytope import _distances, _pairs, _shadow, extreme_points_many
 
 PARALLEL_TOL = 1e-9
 
@@ -152,7 +152,7 @@ def verify_no_parallel_diameters(P):
     """
     E = P.vertices[np.array(_diameter_pairs(P), dtype=int).reshape(-1, 2)]  # (x, z) per diameter
     U = (E[:, 0] - E[:, 1]) / _distances(E[:, :1], E[:, 1:])[:, 0]  # |x - z| of each pair alone
-    I, J = np.triu_indices(len(E), 1)
+    I, J = _pairs(len(E))
     gaps = np.minimum(_distances(U)[I, J], _distances(U, -U)[I, J])
     witnesses = [
         {"diameter_1": E[i].tolist(), "diameter_2": E[j].tolist()}

@@ -1,6 +1,16 @@
+import importlib
+import itertools
+import math
+from collections import Counter
+from fractions import Fraction
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from exact import exact_margin
 
+import homproj.exposed
 import homproj.lp
 import homproj.polytope
 from homproj import (
@@ -25,10 +35,15 @@ from homproj.exposed import (
     ExposedDiameter,
     _antipodal_rows,
     _diameter_pairs,
+    _pair_programs,
+    _ray_screen,
+    _rays_apply,
     _screen,
+    _tangent_drops,
 )
 from homproj.lp import margin_directions
 from homproj.polytope import REL_TOL, Polytope, _apart
+from homproj.verify import verify_no_parallel_diameters, verify_theorem2
 
 
 def grid_diameter_pairs(P, angles=10000):
@@ -426,14 +441,30 @@ def _translated_bodies():
     return bodies
 
 
+@cache
+def _exact_at(rows, shape):
+    return exact_margin(np.frombuffer(rows).reshape(shape))
+
+
+def _exact(P, i, j):
+    """Exact delta* (a Fraction) of the pair program of rows i < j of P."""
+    D = _pair_programs(P.vertices, np.array([i]), np.array([j]))[0]
+    return _exact_at(D.tobytes(), D.shape)
+
+
+def _bar(P):
+    """The pair screens' bar 4 sqrt(n) tol, exactly."""
+    return Fraction(4.0 * math.sqrt(P.dim) * REL_TOL * P.scale)
+
+
 @pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
 def test_the_chord_screen_never_disagrees_with_the_enumeration(kernel):
     # every pair the screen certifies without an LP is one whose LP has delta* > sqrt(n) tol,
     # so the diameter pairs are those of the full enumeration, also at 1e-300 and 1e300 and
-    # on translated bodies
+    # on translated bodies; on a seeded subset exact delta* clears 4 sqrt(n) tol
     rng = np.random.default_rng(26)
     spread = [s * rng.standard_normal((9, n)) for s in (1e-300, 1e300) for n in (2, 3, 4)]
-    screened = 0
+    screened, exact = 0, 0
     bodies = _cover_corpus() + [extreme_points(X) for X in spread] + _near_flat_bodies()
     for P in bodies + _translated_bodies():
         assert _diameter_pairs(P) == [(d.i, d.j) for d in exposed_diameters(P)]
@@ -442,16 +473,152 @@ def test_the_chord_screen_never_disagrees_with_the_enumeration(kernel):
         deltas, _ = margin_directions(np.concatenate([_apart(V)[I], _apart(-V)[J]], axis=1))
         assert (deltas > np.sqrt(P.dim) * REL_TOL * P.scale).all()
         screened += len(I)
-    assert screened > 0
+        for t in rng.choice(len(I), min(len(I), 2), replace=False):
+            assert _exact(P, I[t], J[t]) > _bar(P)
+            exact += 1
+    assert screened > 0 and exact > 100
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the pair LP reports a delta its own u "
-                   "does not reach, and the enumeration drops that pair")
+def _square_and_cube_bodies():
+    """The unit square and cube, and each turned by a seeded rotation: a pair along an edge or a
+    face diagonal has parallel edges at both ends, so its C is a ray or a flat cone (delta* = 0)
+    with nonzero rays on its boundary."""
+    rng = np.random.default_rng(32)
+    bodies = []
+    for n in (2, 3):
+        X = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        bodies += [extreme_points(X), extreme_points(X @ Q)]
+    return bodies
+
+
+def _ray_corpus():
+    """Seeded R^2 and R^3 bodies for the extreme-ray screen: Gaussian bodies, sphere bodies, slabs
+    and needles (axes scaled by 0.05 to 1), integer grids of them, a vertex c tol off an edge or a
+    facet (c = 2^x / 2, x in U(0, 7)), pyramids over integer polygons, the near-flat kites and the
+    translated bodies of dimension 2 and 3."""
+    rng = np.random.default_rng(32)
+    bodies = []
+    for n in (2, 3):
+        for s in range(24):
+            k = int(rng.integers(5, 9))
+            X = rng.standard_normal((k, n))
+            if s % 4 == 1:
+                X /= np.linalg.norm(X, axis=1)[:, None]
+            elif s % 4 == 2:
+                X *= rng.uniform(0.05, 1.0, n)
+            elif s % 4 == 3:
+                X = np.round(3.0 * X * rng.uniform(0.05, 1.0, n))
+            bodies.append(extreme_points(X))
+        for s in range(8):
+            P = random_polytope(n, 7, 3200 + 10 * n + s)
+            a, b = P.vertices[:n], P.vertices[:n].mean(axis=0)  # a face or edge of the hull
+            normal = np.linalg.svd(np.vstack([a[1:] - a[0], np.zeros(n)]))[2][-1]
+            normal *= np.sign(normal @ (b - P.vertices.mean(axis=0))) or 1.0
+            c = 2.0 ** rng.uniform(-1.0, 6.0) * REL_TOL * P.scale
+            bodies.append(extreme_points(np.vstack([P.vertices, b + c * normal])))
+    for _ in range(6):  # an integer polygon on y = 0 and an apex at y = 1: chords on facets
+        base = np.round(2.0 * rng.standard_normal((int(rng.integers(4, 8)), 2)))
+        apex = np.append(np.round(rng.standard_normal(2)), 1.0)[[0, 2, 1]]
+        bodies.append(extreme_points(np.vstack([np.insert(base, 1, 0.0, axis=1), apex])))
+    bodies += _near_flat_bodies() + [P for P in _translated_bodies() if P.dim < 4]
+    return [P for P in bodies if P.num_vertices > P.dim]
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_the_ray_screen_agrees_with_exact_arithmetic(kernel):
+    # every open pair the ray screen drops has exact delta* = 0 and every one it keeps exact
+    # delta* > 4 sqrt(n) tol; in R^3 both the tangent-cone drop and the per-pair rays drop some;
+    # the squares' and cubes' rays on C's boundary reach the LP; and the diameter pairs are those
+    # of the full enumeration
+    verdicts = Counter()
+    for P in _ray_corpus() + _square_and_cube_bodies():
+        assert _rays_apply(P)
+        assert _diameter_pairs(P) == [(d.i, d.j) for d in exposed_diameters(P)]
+        open_ = np.triu(~_screen(P), 1)
+        kept, left = _ray_screen(P, open_)
+        tangent = _tangent_drops(P) if P.dim == 3 else np.zeros_like(open_)
+        for i, j in zip(*np.nonzero(open_)):
+            if kept[i, j]:
+                assert _exact(P, i, j) > _bar(P)
+                verdicts["kept"] += 1
+            elif left[i, j]:
+                verdicts["left"] += 1
+            else:
+                assert _exact(P, i, j) == 0
+                verdicts[f"dropped in R^{P.dim}", "tangent" if tangent[i, j] else "rays"] += 1
+    for P in _square_and_cube_bodies():
+        open_ = np.triu(~_screen(P), 1)
+        assert open_.any() and (_ray_screen(P, open_)[1] == open_).all()
+    assert verdicts["kept"] > 250 and verdicts["left"] > 56
+    assert verdicts["dropped in R^2", "rays"] > 200
+    assert verdicts["dropped in R^3", "tangent"] > 250 and verdicts["dropped in R^3", "rays"] > 10
+
+
+def _mirror_pair_body():
+    """The vertex (0, e) 1.2 tol above the edge of its neighbours (-1, 0) and (1, 0), and (0, -3):
+    rows (1, 2) are (0, -3) and (0, e), whose pair program has exact delta* = 1.20 tol."""
+    e = 1.2 * REL_TOL * np.sqrt(10.0)
+    return Polytope(np.array([[-1.0, 0.0], [0.0, e], [1.0, 0.0], [0.0, -3.0]]))
+
+
+def test_the_mirror_pair_is_left_to_the_lp(monkeypatch):
+    # its C has interior, so no ray drops it, and 1.20 tol is under the 4 sqrt(2) tol bar, so no
+    # ray sum keeps it: the pair LP decides it, wrongly until ROADMAP item 4 (the xfail below)
+    P = _mirror_pair_body()
+    assert round(float(_exact(P, 1, 2) / Fraction(REL_TOL * P.scale)), 2) == 1.2
+    sent, real = [], homproj.exposed.margin_directions
+    monkeypatch.setattr(
+        homproj.exposed, "margin_directions",
+        lambda Ds: sent.extend(D.tobytes() for D in Ds) or real(Ds),
+    )
+    _diameter_pairs(P)
+    assert _pair_programs(P.vertices, np.array([1]), np.array([2]))[0].tobytes() in sent
+
+
+def test_the_corpus_checks_send_no_pair_lp_in_the_plane_and_in_space(monkeypatch):
+    # the chord and ray screens decide every pair of the benchmark's seeded R^2 and R^3 bodies, so
+    # theorem 2 and no-parallel make no margin LP call there; an R^4 body still makes its one call
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    corpus = importlib.import_module("workloads").make_corpus(7, 30)
+    calls, real = [], homproj.exposed.margin_directions
+    monkeypatch.setattr(
+        homproj.exposed, "margin_directions", lambda Ds: calls.append(len(Ds)) or real(Ds)
+    )
+    for P in corpus:
+        calls.clear()
+        verify_theorem2(P)
+        assert P.dim == 4 or not calls
+        calls.clear()
+        verify_no_parallel_diameters(P)
+        assert len(calls) == (P.dim == 4)
+    assert {P.dim for P in corpus} == {2, 3, 4}
+
+
+@pytest.mark.parametrize("k, rays", [(21, True), (22, False)])
+def test_a_set_past_the_size_bound_takes_the_lp(monkeypatch, k, rays):
+    # a pair program's m C(m, 2) rays by rows, m = 2 (k - 1), stay within CHUNK_CELLS up to k = 21
+    # in R^3; a larger set sends its open pairs to the LP, and either way the pairs are the
+    # enumeration's
+    X = np.random.default_rng(k).standard_normal((k, 3))
+    P = extreme_points(X / np.linalg.norm(X, axis=1)[:, None])
+    screens, lps = [], []
+    screen, real = homproj.exposed._ray_screen, homproj.exposed.margin_directions
+    monkeypatch.setattr(
+        homproj.exposed, "_ray_screen", lambda P, o: screens.append(1) or screen(P, o)
+    )
+    monkeypatch.setattr(homproj.exposed, "margin_directions", lambda Ds: lps.append(1) or real(Ds))
+    pairs = _diameter_pairs(P)
+    assert P.num_vertices == k and len(screens) == rays and bool(lps) != rays
+    assert pairs == [(d.i, d.j) for d in exposed_diameters(P)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the pair LP of rows (1, 2), exact "
+                   "delta* = 1.20 tol, reports delta = 28.27 tol with a u whose min(D u) is "
+                   "-27.07 tol, and the enumeration drops that pair")
 @pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
 def test_a_body_and_its_mirror_image_list_equally_many_diameters(kernel):
-    # the vertex (0, e) is 1.2 tol above the edge of its neighbours; the LP of its pair with
-    # (0, -3) returns delta = 28 tol with a u whose min(D u) is -27 tol, so the enumeration
-    # drops that pair here and keeps its mirror image's
-    e = 1.2 * REL_TOL * np.sqrt(10.0)
-    P = Polytope(np.array([[-1.0, 0.0], [0.0, e], [1.0, 0.0], [0.0, -3.0]]))
+    # the LP of the pair of (0, e) with (0, -3) returns delta = 28 tol with a u whose min(D u) is
+    # -27 tol, so the enumeration drops that pair here and keeps its mirror image's
+    P = _mirror_pair_body()
     assert len(exposed_diameters(P)) == len(exposed_diameters(negate(P)))

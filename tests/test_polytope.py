@@ -1,9 +1,11 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact import exact_margin
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
@@ -27,7 +29,7 @@ from homproj import (
     set_equal,
     support,
 )
-from homproj.polytope import REL_TOL, _distances, _support_rows
+from homproj.polytope import REL_TOL, _apart, _distances, _support_rows
 
 
 def test_interior_point_dropped():
@@ -401,17 +403,20 @@ OPEN_HULL_DEFECTS = [
         "lost_lp",
         [[-1.2999999979053902, -0.2000000039793104, 2.0000000003859637], [-1.3, -0.2, 2.0],
          [0.0, -1.4, 0.8], [-0.1, -1.3, 0.7], [0.3, 0.9, 1.2], [-1.8, 0.4, -1.0]],
-        KernelError, "a margin LP of the near-duplicate rows is lost to rounding",
+        KernelError, "a margin LP is lost to rounding: row 4's program, exact delta* = 8.4e8 tol, "
+        "raises KernelError, and the LP returns 0 on the near-duplicate rows' (1.40 and 1.90 tol)",
     ),
     _open_hull_defect(
         "one_vertex_left",
         [[424148.11, -467378.84], [424148.11000000016, -467378.8400000002],
          [424147.93, -467378.95]],
-        AssertionError, "both rows of a near-duplicate pair are dropped: one vertex is left",
+        AssertionError, "both rows of a near-duplicate pair are dropped: one vertex is left; "
+        "their programs have exact delta* = 1.33 and 1.66 tol, and the LP returns 0",
     ),
     _open_hull_defect(
         "no_row_left", NO_ROW_LEFT,
-        EmptyInput, "both near-duplicate pairs are dropped: no row is left",
+        EmptyInput, "both near-duplicate pairs are dropped: no row is left; the four programs "
+        "have exact delta* = 1.45, 2.35, 1.82 and 1.83 tol, and the LP returns 0.92 tol and 0",
     ),
 ]
 
@@ -427,3 +432,15 @@ def test_hull_covers_every_input_point(points, kernel):
     for x in (X - origin) / diam:
         _, gap = nnls(A, np.append(x, 1.0))
         assert gap <= 10 * REL_TOL
+
+
+def test_the_open_hull_defects_have_the_exact_margins_their_reasons_state():
+    # exact delta* (ROADMAP item 16), in units of the set's tol, of the programs of the rows that
+    # each reason above names: one margin program per input row, in input order
+    stated = {"lost_lp": {0: 1.40, 1: 1.90, 4: 8.4e8}, "one_vertex_left": {0: 1.33, 1: 1.66},
+              "no_row_left": {0: 1.45, 1: 2.35, 2: 1.82, 3: 1.83}}
+    for case in OPEN_HULL_DEFECTS:
+        X = np.array(case.values[0], dtype=float)
+        tol, programs = Fraction(REL_TOL * float(_distances(X).max())), _apart(X[None])[0]
+        for row, value in stated[case.id].items():
+            assert float(exact_margin(programs[row]) / tol) == pytest.approx(value, rel=0.01)
