@@ -1,10 +1,9 @@
-/* Dense tableau simplex, compiled backend: the full-tableau reference loop.
- *
- * Each program runs the scalar Bland's-rule loop alone; ``_simplex_py`` keeps only
- * the nonbasic columns and matches every result bit for bit (build with
- * -ffp-contract=off: a fused multiply-add in the row update would round differently).
- * Plain C, no Python or numpy headers; ``_simplex_ctypes.py`` binds it.
- */
+/* Dense tableau simplex, compiled backend: ``_simplex_py._solve_chunk``'s algorithm, run
+ * one program at a time. The condensed (Tucker) tableau holds the nonbasic columns and the
+ * rhs, with a variable label per row and per column, and takes numpy's float operations in
+ * numpy's order, so every result matches it bit for bit (build with -ffp-contract=off: a
+ * fused multiply-add in the row update would round differently). Plain C, no Python or
+ * numpy headers; ``_simplex_ctypes.py`` binds it. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -20,9 +19,10 @@ int simplex_maximize_batch(int64_t B, int64_t m, int64_t n, double tol, const do
                            const double *b, const double *c, int64_t *status,
                            double *obj, double *x)
 {
-    int64_t ncols = n + m, w = ncols + 1;
+    int64_t w = n + 1;
     double *T = malloc(sizeof(double) * (m + 1) * w);
-    int64_t *basis = malloc(sizeof(int64_t) * (m + 1));
+    /* the variable of each row (basis) and of each column (cols): x_j is j, slack i is n + i */
+    int64_t *basis = malloc(sizeof(int64_t) * (m + n + 1)), *cols = basis + m;
     if (T == NULL || basis == NULL) {
         free(T);
         free(basis);
@@ -31,33 +31,33 @@ int simplex_maximize_batch(int64_t B, int64_t m, int64_t n, double tol, const do
     for (int64_t k = 0; k < B; k++) {
         const double *Ak = A + k * m * n;
         double *xk = x + k * n, *obj_row = T + m * w;
-        memset(T, 0, sizeof(double) * (m + 1) * w);
         for (int64_t i = 0; i < m; i++) {
             memcpy(T + i * w, Ak + i * n, sizeof(double) * n);
-            T[i * w + n + i] = 1.0;
-            T[i * w + ncols] = b[i];
+            T[i * w + n] = b[i];
             basis[i] = n + i;
         }
-        for (int64_t j = 0; j < n; j++)
+        for (int64_t j = 0; j < n; j++) {
             obj_row[j] = -c[j];
+            cols[j] = j;
+        }
+        obj_row[n] = 0.0;
         status[k] = OPTIMAL;
-        obj[k] = 0.0;
         memset(xk, 0, sizeof(double) * n);
 
         for (;;) {
-            /* entering column: the lowest index with a reduced cost below -tol */
+            /* entering column: the lowest variable with a reduced cost below -tol */
             int64_t col = -1, row = -1;
-            for (int64_t j = 0; j < ncols && col < 0; j++)
-                if (obj_row[j] < -tol)
+            for (int64_t j = 0; j < n; j++)
+                if (obj_row[j] < -tol && (col < 0 || cols[j] < cols[col]))
                     col = j;
             if (col < 0)
                 break;
-            /* ratio test over rows with a > tol; ties go to the lowest basic index */
+            /* ratio test over rows with a > tol; ties go to the lowest basic variable */
             double best = 0.0;
             for (int64_t i = 0; i < m; i++) {
                 double a = T[i * w + col];
                 if (a > tol) {
-                    double ratio = T[i * w + ncols] / a;
+                    double ratio = T[i * w + n] / a;
                     if (row < 0 || ratio < best || (ratio == best && basis[i] < basis[row])) {
                         row = i;
                         best = ratio;
@@ -68,26 +68,29 @@ int simplex_maximize_batch(int64_t B, int64_t m, int64_t n, double tol, const do
                 status[k] = UNBOUNDED;
                 break;
             }
-            /* pivot; rows with f == 0 are left alone, which keeps signed zeros */
+            /* pivot: column col takes the leaving variable, whose column is e_row before the
+               row operations; a row with f == 0 keeps its other entries and their zero signs */
             double *p = T + row * w, piv = p[col];
+            p[col] = 1.0;
             for (int64_t j = 0; j < w; j++)
                 p[j] /= piv;
             for (int64_t i = 0; i <= m; i++) {
                 double *r = T + i * w, f = r[col];
-                if (i == row || f == 0.0)
+                if (i == row)
                     continue;
-                for (int64_t j = 0; j < w; j++)
-                    r[j] -= f * p[j];
                 r[col] = 0.0;
+                if (f != 0.0)
+                    for (int64_t j = 0; j < w; j++)
+                        r[j] -= f * p[j];
             }
-            basis[row] = col;
+            int64_t leaving = basis[row];
+            basis[row] = cols[col];
+            cols[col] = leaving;
         }
-        if (status[k] == OPTIMAL) {
-            obj[k] = obj_row[ncols];
-            for (int64_t i = 0; i < m; i++)
-                if (basis[i] < n)
-                    xk[basis[i]] = T[i * w + ncols];
-        }
+        obj[k] = status[k] == OPTIMAL ? obj_row[n] : 0.0;
+        for (int64_t i = 0; i < m && status[k] == OPTIMAL; i++)
+            if (basis[i] < n)
+                xk[basis[i]] = T[i * w + n];
     }
     free(T);
     free(basis);

@@ -2,7 +2,8 @@
 
 ``setup.py`` builds that file as the plain shared library ``_simplex_c``
 next to this module. ``Kernel`` offers the interface of ``_simplex_py`` and,
-per LP, its results bit for bit.
+as it runs the same condensed-tableau algorithm one LP at a time, per LP its
+results bit for bit.
 """
 
 import ctypes

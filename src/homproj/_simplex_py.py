@@ -3,10 +3,10 @@
 ``simplex_maximize_batch`` solves many same-shape LPs in lockstep: every
 pivot is a handful of numpy operations over all LPs still running, and an LP
 leaves the batch as soon as it is optimal or unbounded. A tableau keeps only its
-nonbasic columns and the rhs (the condensed, or Tucker, tableau), yet each LP
-takes the pivots and float operations of the scalar Bland's-rule loop that
-``_simplex.c`` runs on the full tableau: results are bit-identical per LP,
-whatever else shares its batch. ``simplex_maximize`` is the one-LP case.
+nonbasic columns and the rhs (the condensed, or Tucker, tableau). ``_simplex.c``
+runs the same algorithm on one LP at a time, with the same float operations in
+the same order, so results are bit-identical per LP on either kernel, whatever
+else shares its batch. ``simplex_maximize`` is the one-LP case.
 """
 
 import numpy as np
@@ -44,8 +44,8 @@ def simplex_maximize_batch(A, b, c):
 
     A is (B, m, n) with m >= 1; b (m,) and c (n,) are shared by the whole
     batch, and every program pivots at ``PIVOT_TOL``. Returns (status[B],
-    objective[B], x[B, n]) with the same values, bit for bit, as B calls of
-    the scalar loop; an unbounded program has objective 0.0 and x = 0.
+    objective[B], x[B, n]) with the same values, bit for bit, as B one-LP
+    calls; an unbounded program has objective 0.0 and x = 0.
     """
     A, b, c = _check_arguments(A, b, c)
     B, m, n = A.shape
@@ -105,9 +105,9 @@ def _solve_chunk(A, b, c, status, obj, x):
             basis, cols = lab[:, :m], lab[:, m:big]
             rows = np.arange(len(lab))
 
-        # pivot: the leaving variable takes over column col as e_row, its full-tableau column up to
-        # zero signs (which no decision or rhs entry reads); rows with f == 0 are skipped to keep
-        # signed zeros, and the pivot row is written last
+        # pivot: column col takes the leaving variable, whose column is e_row before the row
+        # operations; rows with f == 0 keep their other entries and their zero signs, and the
+        # pivot row is written last
         piv = f[rows, row]
         T[rows, :, col] = 0.0
         T[rows, row, col] = 1.0

@@ -31,19 +31,30 @@ def octahedron():
 
 
 @pytest.fixture(scope="session")
-def c_library(tmp_path_factory):
-    """``_simplex.c`` compiled with the flags setup.py gives, warnings as errors, in a temp dir:
+def c_build(tmp_path_factory):
+    """Builds ``_simplex.c`` at an optimization level ("-O2", say) with -ffp-contract=off, as
+    setup.py gives it, and warnings as errors, each in a temp dir: the function from the level to
     the path of the ``_simplex_c.so`` it writes."""
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler on PATH")
-    library = tmp_path_factory.mktemp("kernel") / "_simplex_c.so"
     source = Path(homproj.__file__).with_name("_simplex.c")
-    subprocess.run(
-        ["gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
-         str(source), "-o", str(library)],
-        check=True,
-    )
-    return library
+
+    def build(level):
+        library = tmp_path_factory.mktemp("kernel") / "_simplex_c.so"
+        subprocess.run(
+            ["gcc", level, "-shared", "-fPIC", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
+             str(source), "-o", str(library)],
+            check=True,
+        )
+        return library
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def c_library(c_build):
+    """The ``c_build`` at -O2: the path of its ``_simplex_c.so``."""
+    return c_build("-O2")
 
 
 @pytest.fixture(scope="session")

@@ -14,12 +14,15 @@ and R^4 sets of 22 to 30 rows; the acceptance corpora ride along. On it every ro
 decides must have the LP's verdict, every hull must carry the bytes of a frozen copy of the
 hull that solves every LP, every crowded set must send all of its rows to the LP, and every
 other set on the sign-vector path must send exactly its rows that no sign vector certifies.
-Both LP kernels run it.
+Exact rational arithmetic (``exact.py``) judges every screen on seeded sets: a row it drops must
+have exact delta* = 0, a row it keeps exact min(D u) > 2 tol at its screen direction u, or else
+exact delta* > 2 tol. Both LP kernels run it.
 """
 
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -63,6 +66,11 @@ def _lone_faces(V, tol):
          if 1 <= np.count_nonzero(u) <= 2]
     gaps = np.matmul(_apart(V), np.array(U).T).min(axis=2)
     return (gaps > 2 * tol[:, None, None]).any(axis=2)
+
+
+def _on_facet_path(k, n):
+    """Whether a set of k distinct rows in R^n takes the facet screen, not the other two."""
+    return n == 3 and k >= 4 and k * math.comb(k, 3) <= CHUNK_CELLS
 
 
 def _near_duplicate_set(rng, k, n):
@@ -161,7 +169,7 @@ def test_the_screen_never_disagrees_with_the_lp(monkeypatch, kernel):
             crowded_rows += len(V)
             continue
         k, n = V.shape
-        if n > 3 or (n == 3 and (k < 4 or k * math.comb(k, 3) > CHUNK_CELLS)):
+        if n > 2 and not _on_facet_path(k, n):
             lone = _lone_faces(V[None], np.array([tol]))[0]
             assert (deltas[lone] > tol).all() and (open_ == ~lone).all()
             screened += np.count_nonzero(lone)
@@ -266,6 +274,12 @@ def _exact(D):
     return exact_margin(np.array(D))
 
 
+def _exact_gap(D, u):
+    """Exact min(D u) of the float rows D (m, n) at the float direction u (n,)."""
+    u = [Fraction(x) for x in u.tolist()]
+    return min(sum(map(operator.mul, map(Fraction, d), u)) for d in D.tolist())
+
+
 @pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
 def test_the_facet_screen_agrees_with_exact_arithmetic(monkeypatch, kernel):
     # every row the facet screen drops has exact delta* = 0 and every row it keeps exact
@@ -300,11 +314,70 @@ def test_the_facet_screen_agrees_with_exact_arithmetic(monkeypatch, kernel):
                 assert _exact(tuple(map(tuple, D.tolist()))) == 0
                 verdicts["dropped"] += 1
             else:
-                u, bar = [Fraction(x) for x in U[i].tolist()], 2 * Fraction(tol)
-                bound = min(sum(map(operator.mul, map(Fraction, d), u)) for d in D.tolist())
-                assert bound > bar or _exact(tuple(map(tuple, D.tolist()))) > bar
+                bar = 2 * Fraction(tol)
+                assert _exact_gap(D, U[i]) > bar or _exact(tuple(map(tuple, D.tolist()))) > bar
                 verdicts["kept"] += 1
     assert verdicts["dropped"] > 300 and verdicts["kept"] > 1000 and verdicts["sent"] > 50
+
+
+class _ScreenDirections:
+    """Stands in for numpy inside ``polytope``: the screen's one ``np.matmul(D, U^T)`` in
+    ``extreme_points_many`` records, under the bytes of each program D, the directions U (k', n)
+    it tries on D: its own bisector or facet sum, or the sign vectors all programs share."""
+
+    def __init__(self):
+        self.of = {}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        if frame.f_code is polytope.extreme_points_many.__code__:
+            D, U = frame.f_locals["D"], frame.f_locals["U"]
+            U = np.broadcast_to(U, (len(D), *U.shape[-2:]))
+            self.of.update((d.tobytes(), u) for d, u in zip(D, U))
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_the_planar_and_sign_vector_screens_agree_with_exact_arithmetic(monkeypatch, kernel):
+    # on a seeded quarter of the corpus sets that the planar-arc or the sign-vector screen decides,
+    # every row a screen drops has exact delta* = 0 and every row it keeps exact min(D u) > 2 tol
+    # at the best direction u the screen tried on its program, or else exact delta* > 2 tol
+    corpus = _corpus()
+    chosen = np.random.default_rng(16).random(len(corpus)) < 0.25
+    sets = [X for X, pick in zip(corpus, chosen) if pick and not _on_facet_path(*X.shape)]
+    ref, records = _frozen_full_lp_hulls(sets)
+    sent, directions = [], _ScreenDirections()
+
+    def counted(Ds):
+        sent.extend(D.tobytes() for D in Ds)
+        return margin_directions(Ds)
+
+    monkeypatch.setattr(polytope, "margin_directions", counted)
+    monkeypatch.setattr(polytope, "np", directions)
+    got = hp.extreme_points_many(sets)
+    assert [P.vertices.tobytes() for P in got] == [P.vertices.tobytes() for P in ref]
+    sent, verdicts = set(sent), Counter()
+    for (V, _, tol, crowded), P in zip(records, got):
+        if crowded or len(V) == 1 or _on_facet_path(*V.shape):
+            continue
+        hull, bar = {w.tobytes() for w in P.vertices}, 2 * Fraction(tol)
+        screen = "planar" if V.shape[1] == 2 else "sign vectors"
+        for i, D in enumerate(_apart(V[None])[0]):
+            if D.tobytes() in sent:
+                verdicts["sent"] += 1
+            elif V[i].tobytes() not in hull:
+                assert screen == "planar" and _exact(tuple(map(tuple, D.tolist()))) == 0
+                verdicts["planar dropped"] += 1
+            else:
+                U = directions.of[D.tobytes()]
+                u = U[np.matmul(D, U.T).min(axis=0).argmax()]
+                assert _exact_gap(D, u) > bar or _exact(tuple(map(tuple, D.tolist()))) > bar
+                verdicts[f"{screen} kept"] += 1
+    assert verdicts["planar dropped"] > 500 and verdicts["planar kept"] > 500
+    assert verdicts["sign vectors kept"] > 400 and verdicts["sent"] > 300
 
 
 @pytest.mark.parametrize("k, facets", [(21, True), (22, False), (40, False)])

@@ -57,11 +57,10 @@ def _assert_same_bytes(c_kernel, A, b, c):
     return ref
 
 
-def test_backends_are_bit_identical(c_kernel):
-    # general programs, with UNBOUNDED cases, -0.0 in b and, in every other
-    # program, entries rounded to 0.1 for ratio ties
-    rng = np.random.default_rng(7)
-    statuses, negative_zeros = set(), 0
+def _general_programs(rng):
+    """(A, b, c) batches of general programs, with UNBOUNDED cases, -0.0 in b and, in every
+    other program, entries rounded to 0.1 for ratio ties."""
+    programs = []
     for m, n in ((1, 2), (6, 4), (3, 5), (8, 3), (14, 7)):
         B = 120
         A = rng.standard_normal((B, m, n))
@@ -69,9 +68,17 @@ def test_backends_are_bit_identical(c_kernel):
         b = rng.uniform(0.0, 2.0, m)
         b[: m // 2] = -0.0
         for c in (rng.standard_normal(n), -np.abs(rng.standard_normal(n))):
-            status, _, x = _assert_same_bytes(c_kernel, A, b, c)
-            statuses.update(status.tolist())
-            negative_zeros += np.count_nonzero((x == 0.0) & np.signbit(x))
+            programs.append((A, b, c))
+    return programs
+
+
+def test_backends_are_bit_identical(c_kernel):
+    rng = np.random.default_rng(7)
+    statuses, negative_zeros = set(), 0
+    for A, b, c in _general_programs(rng):
+        status, _, x = _assert_same_bytes(c_kernel, A, b, c)
+        statuses.update(status.tolist())
+        negative_zeros += np.count_nonzero((x == 0.0) & np.signbit(x))
     assert statuses == {OPTIMAL, UNBOUNDED} and negative_zeros > 0
 
     # B = 1 through simplex_maximize
@@ -82,9 +89,18 @@ def test_backends_are_bit_identical(c_kernel):
     assert got[2].tobytes() == ref[2].tobytes()
 
 
-def test_backends_are_bit_identical_on_margin_programs(c_kernel, monkeypatch):
-    # record the batches lp.margin_directions builds for hulls, diameters and
-    # rounded (tie-heavy) direction lists, then solve each on both kernels
+@pytest.mark.parametrize("level", ["-O0", "-O3"])
+def test_builds_at_other_optimization_levels_are_bit_identical(c_build, level):
+    # the kernel's bits must not depend on the optimizer: with -ffp-contract=off every build
+    # rounds each float operation as written
+    kernel = Kernel(c_build(level).parent)
+    for A, b, c in _general_programs(np.random.default_rng(7)):
+        _assert_same_bytes(kernel, A, b, c)
+
+
+def _recorded_batches(monkeypatch):
+    """Puts a spy in place of ``lp._kernel``: returns the list to which it appends each
+    (A, b, c) batch that ``lp.margin_directions`` sends, solving it on the numpy kernel."""
     batches = []
 
     def recording(A, b, c):
@@ -92,6 +108,13 @@ def test_backends_are_bit_identical_on_margin_programs(c_kernel, monkeypatch):
         return _simplex_py.simplex_maximize_batch(A, b, c)
 
     monkeypatch.setattr(lp, "_kernel", SimpleNamespace(simplex_maximize_batch=recording))
+    return batches
+
+
+def test_backends_are_bit_identical_on_margin_programs(c_kernel, monkeypatch):
+    # record the batches lp.margin_directions builds for hulls, diameters and
+    # rounded (tie-heavy) direction lists, then solve each on both kernels
+    batches = _recorded_batches(monkeypatch)
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
         for seed in range(4):
@@ -100,6 +123,27 @@ def test_backends_are_bit_identical_on_margin_programs(c_kernel, monkeypatch):
             hp.extreme_points(np.round(rng.standard_normal((12, n)), 1))
     lp.margin_directions(np.round(rng.standard_normal((50, 11, 3)), 1))
     assert len(batches) > 20
+    for A, b, c in batches:
+        _assert_same_bytes(c_kernel, A, b, c)
+
+
+def test_backends_are_bit_identical_on_large_programs(c_kernel, monkeypatch):
+    # m >> n, where a pivot's row updates far outnumber its column choices: the hull-row
+    # batches of a few hundred Gaussian points in R^3 (past the facet screen's size bound)
+    # and in R^4, and general programs with ratio ties (integer A in every other one, b in
+    # {1, 2, 3}: a ratio tie at about one pivot in five) and -0.0 in b, on 20 rows with A <= 0
+    batches = _recorded_batches(monkeypatch)
+    rng = np.random.default_rng(34)
+    for n in (3, 4):
+        hp.extreme_points(rng.standard_normal((320, n)))
+    assert [(A.shape[1], A.shape[2]) for A, _, _ in batches] == [(325, 7), (327, 9)]
+    assert all(len(A) > 200 for A, _, _ in batches)
+    A = rng.standard_normal((40, 400, 5))
+    A[::2] = np.round(A[::2])
+    A[:, :20] = -np.abs(A[:, :20])
+    b = rng.integers(1, 4, 400) * 1.0
+    b[:20] = -0.0
+    batches.append((A, b, rng.standard_normal(5)))
     for A, b, c in batches:
         _assert_same_bytes(c_kernel, A, b, c)
 
