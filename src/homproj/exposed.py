@@ -5,7 +5,7 @@ polytope at v; a vertex pair (x, z) spans an exposed diameter when one u has
 its strict maximum at x and strict minimum at z. Both are decided by the
 separation-margin LP over the |u|_inf <= 1 box. Callers that need only endpoint rows (theorem
 2, no-parallel, transfer) skip it for the pairs that ``_screen`` certifies on their own programs,
-and in R^2 and R^3 for those that ``_ray_screen`` drops (delta* = 0) or hands ``_screen`` a ray sum
+and in R^2 to R^4 for those that ``_ray_screen`` drops (delta* = 0) or hands ``_screen`` a ray sum
 for; only ``exposed_diameters`` itself, whose witness u is its output, solves every pair.
 """
 
@@ -177,48 +177,67 @@ def _screen(P, U=None):
 
 
 def _tangent_drops(P):
-    """(k, k) mask of the pairs of an R^3 body with delta* = 0 by its ``_planes``, shared by all its
-    pairs: a chord from one endpoint, say w = V[y] - V[j], over the bar inside the cone T_i of
-    chords from the other. Then D's rows -T_i and T_j hold neighbourhoods of -w and w, so D u >= 0
-    only at u = 0. Every facet of T_i is an accepted plane through i in its outward sign s (or one
-    with N = 0), and w is inside it when s (h_y - h_j) < -2^-42: rounding moves that difference from
-    the exact facet normal's by under 2^-43. A plane with N = 0 or accepted both ways blocks."""
-    _, h, _, norm, up, down, through = _planes(P.vertices[None], np.array([P.scale]))
+    """(drops, h, N) of an R^3 or R^4 body by its ``_planes``, shared by all its pairs: drops, and
+    the (k, T) heights and (T, n) normals of the planes, from which R^4 reads its candidate rays.
+
+    drops is the (k, k) mask of the pairs with delta* = 0: a chord from one endpoint, say
+    w = V[y] - V[j], over the bar inside the cone T_i of chords from the other. Then D's rows -T_i
+    and T_j hold neighbourhoods of -w and w, so D u >= 0 only at u = 0. Every facet of T_i is an
+    accepted plane through i in its outward sign s (or one with N = 0), and w is inside it when
+    s (h_y - h_j) < -2^-42. A plane with N = 0 or accepted both ways blocks. Rounding moves that
+    difference from the exact facet normal's by under 2^-43 in R^3, and in R^4 by under
+    69u < 2^-46, u = 2^-53: X_b - X_a by 5u at |X| <= 1; the cofactor N by 15u through them, as
+    |N| <= |X_b - X_a| |X_c - X_a| |X_d - X_a| <= 1, and by 40u of its own, 5u times its minors'
+    terms, whose sum is at most the product of the three rows' 1-norms, 2^3; N (X_y - X_j) by 59u
+    through N and X; and the two heights and their difference by 4u, 4u and 2u more."""
+    N, h, _, norm, up, down, through = _planes(P.vertices[None], np.array([P.scale]))
     live = (up | down | (norm == 0.0))[0]
     s, through = (up - down * 1.0)[0, live], through[:, live]
     H = h[0][:, live] * s  # (k, T) signed heights, 0 on a blocking plane
     under = (H[None] - H[:, None] < -(2.0**-42)) * 1.0  # [j, y, p]: s (h_y - h_j) < -bar
     inside = (np.matmul(under, through.T) == through.sum(axis=1)).any(axis=1)  # [j, i]
-    return inside | inside.T
+    return inside | inside.T, h[0], N[0].T
 
 
 def _ray_screen(P, open_):
-    """(kept, open) (k, k) masks after the extreme-ray rule on the open pairs i < j of an R^2 or R^3
+    """(kept, open) (k, k) masks after the extreme-ray rule on the open pairs i < j of an R^2 to R^4
     body. delta* > 0 exactly when C = {u : D u >= 0} has interior, D = ``_pair_programs(V, i, j)``
     at its ``_binade`` scale; a nonzero C has an extreme ray, +-the normal of n - 1 rows of D (a row
-    turned by 90 degrees, the cross product of two). A pair none of whose candidate rays r has
-    D r >= -2^-46 (rounding moves D r by under 2^-48) has C = {0}, delta* = 0, and is dropped; the
-    exactly-zero ray of the chord, a row of both blocks, is skipped. The other pairs offer the sum
-    of their feasible unit rays to ``_screen``. In R^3 ``_tangent_drops`` comes first, and only the
-    pairs it leaves open build their own C(m, 2) cross products.
+    turned by 90 degrees, the cross product of two). In R^2 and R^3 a pair none of whose candidate
+    rays r has D r >= -2^-46 (rounding moves D r by under 2^-48) has C = {0}, delta* = 0, and is
+    dropped; the exactly-zero ray of the chord, a row of both blocks, is skipped. The other pairs
+    offer the sum of their feasible unit rays to ``_screen``. In R^3 and R^4 ``_tangent_drops``
+    comes first. In R^3 only the pairs it leaves open build their own C(m, 2) cross products. In
+    R^4, where those would be C(m, 3), a pair's candidates are the normals of its body's vertex
+    4-tuple planes, feasible as read off their heights: they drop no pair, as they need not hold
+    every ray of C.
     """
     V, (k, n) = P.vertices, P.vertices.shape
-    open_ = open_ & ~_tangent_drops(P) if n == 3 else open_.copy()
+    open_ = open_.copy()
+    if n > 2:
+        drops, h, N = _tangent_drops(P)
+        open_ &= ~drops
+    if n == 4:  # D N >= 0 for (i, j) with i at the top of N's heights and j at the bottom (2^-46)
+        top, low = h >= h.max(axis=0) - 2.0**-46, h <= h.min(axis=0) + 2.0**-46
     I, J = np.nonzero(open_)
     m, U = 2 * (k - 1), [np.zeros((0, n))]
     a, b = _pairs(m) if n == 3 else (np.arange(m), None)
-    step = max(1, CHUNK_CELLS // (m * len(a)))  # pairs whose D r values fill at most CHUNK_CELLS
+    cells = len(N) if n == 4 else m * len(a)  # a pair's D r values, in R^4 its plane marks
+    step = max(1, CHUNK_CELLS // cells)  # pairs whose values fill at most CHUNK_CELLS
     for t in range(0, len(I), step):
         i, j = I[t : t + step], J[t : t + step]
-        D = _binade(_pair_programs(V, i, j), (1, 2))[0]
-        R = D[..., ::-1] * [-1.0, 1.0] if n == 2 else _cross(D[:, a], D[:, b], -1)
-        G = np.matmul(D, R.swapaxes(1, 2))  # (pairs, m, rays): D r
-        up, down = G.min(axis=1) >= -(2.0**-46), G.max(axis=1) <= 2.0**-46
-        if n == 3:  # the chord: rows j - 1 (first block) and k - 1 + i (second), in triu order
-            c = (j - 1) * (2 * k - 3) - (j - 1) * (j - 2) // 2 + k - 1 + i - j
-            up[np.arange(len(i)), c] = down[np.arange(len(i)), c] = False
-        none = ~(up | down).any(axis=1)
-        open_[i[none], j[none]] = False
+        if n == 4:  # as D N holds scale (h_i - h_x) and scale (h_y - h_j); -N the other way round
+            R, up, down = N, top[i] & low[j], low[i] & top[j]
+        else:
+            D = _binade(_pair_programs(V, i, j), (1, 2))[0]
+            R = D[..., ::-1] * [-1.0, 1.0] if n == 2 else _cross(D[:, a], D[:, b], -1)
+            G = np.matmul(D, R.swapaxes(1, 2))  # (pairs, m, rays): D r
+            up, down = G.min(axis=1) >= -(2.0**-46), G.max(axis=1) <= 2.0**-46
+            if n == 3:  # the chord: rows j - 1 (first block) and k - 1 + i (second), in triu order
+                c = (j - 1) * (2 * k - 3) - (j - 1) * (j - 2) // 2 + k - 1 + i - j
+                up[np.arange(len(i)), c] = down[np.arange(len(i)), c] = False
+            none = ~(up | down).any(axis=1)
+            open_[i[none], j[none]] = False
         norm = np.sqrt(_dots(R, R))
         w = (up - down * 1.0) / np.where(norm > 0.0, norm, np.inf)  # +-1 / |r| on feasible rays
         U.append(np.matmul(w[:, None], R)[:, 0])
@@ -228,14 +247,16 @@ def _ray_screen(P, open_):
 
 
 def _rays_apply(P):
-    """Whether ``_ray_screen`` takes P: R^2 or R^3, k > n rows, and m C(m, n - 1) <= CHUNK_CELLS
-    rays by rows of one pair program, m = 2 (k - 1)."""
+    """Whether ``_ray_screen`` takes P: R^2 to R^4 and k > n rows, within CHUNK_CELLS: in R^2 and
+    R^3 the m C(m, n - 1) rays by rows of one pair program, m = 2 (k - 1); in R^4 the k C(k, 4)
+    heights of ``_planes``."""
     (k, n), m = P.vertices.shape, 2 * (P.num_vertices - 1)
-    return 2 <= n <= 3 and k > n and m * math.comb(m, n - 1) <= CHUNK_CELLS
+    cells = k * math.comb(k, 4) if n == 4 else m * math.comb(m, n - 1)
+    return 2 <= n <= 4 and k > n and cells <= CHUNK_CELLS
 
 
 def _diameter_pairs(P):
-    """Row-major (i, j) of ``exposed_diameters(P)``: the chord-screened pairs, then in R^2 and R^3
+    """Row-major (i, j) of ``exposed_diameters(P)``: the chord-screened pairs, then in R^2 to R^4
     those ``_ray_screen`` keeps, then one LP batch of the rest."""
     pairs = _screen(P)
     open_ = np.triu(~pairs, 1)
@@ -255,9 +276,9 @@ def _antipodal_rows(P):
     hit = screened.any(axis=0) | screened.any(axis=1)
     open_ = np.triu(~screened & ~(hit[:, None] & hit), 1)
     if open_.any():
-        if _rays_apply(P):
+        if P.dim < 4 and _rays_apply(P):
             kept, open_ = _ray_screen(P, open_)
-        else:
+        else:  # in R^4 the bisectors keep what a cover needs for less than the ray stage costs
             U = _bisectors(_apart(P.vertices)[~hit]).reshape(-1, P.dim)
             kept = _screen(P, U[np.abs(U).max(axis=1) > 0])
             open_ &= ~kept

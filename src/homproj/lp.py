@@ -14,7 +14,8 @@ One screen rule skips a program on a positive verdict: a feasible u of the very 
 would receive (the same D bytes) with min(D u) over a bar, as delta* >= min(D u): 2 tol for hull
 rows (``polytope.extreme_points_many``), 4 sqrt(n) tol for diameter pairs (``exposed._screen``).
 Hull drops prove delta* = 0: no chord gap of pi in R^2, 2 tol inside every facet in R^3. So do pair
-drops in R^2 and R^3 (``exposed._ray_screen``): no extreme ray of the pair's cone {u : D u >= 0}.
+drops in R^2 to R^4 (``exposed._ray_screen``): no extreme ray of the pair's cone {u : D u >= 0}, or
+in R^3 and R^4 a chord from one endpoint inside the cone of chords from the other.
 
 The compiled kernel (``_simplex.c``, loaded by ``_simplex_ctypes``) is used when its library
 loads; otherwise, or with HOMPROJ_FORCE_PYTHON=1, the numpy fallback ``_simplex_py`` is.

@@ -11,6 +11,7 @@ while diameter / max|coordinate| stays well above machine epsilon; past that, a
 translation rounds away the very differences the predicates compare.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -119,31 +120,51 @@ def _cross(A, B, axis):
 
 
 @cache
-def _triples(k):
-    """Shared, read only: the (k, 2T) columns e_b - e_a, then e_c - e_a, of the T = C(k, 3) row
-    triples a < b < c, the flat index of (a, t) in (k, T), and the (k, T) mask of their rows."""
-    r = np.arange(k)
-    a, b, c = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-    t, E = np.arange(len(a)), np.zeros((k, 2, len(a)))
-    E[b, 0, t], E[c, 1, t], E[a, :, t] = 1.0, 1.0, -1.0
-    through = (r[:, None] == np.stack([a, b, c])[:, None]).any(axis=0) * 1.0
-    return E.reshape(k, -1), a * len(a) + t, through
+def _tuples(k, n):
+    """Shared, read only: the (k, (n - 1) T) columns e_b - e_a, then e_c - e_a, ..., of the
+    T = C(k, n) row n-tuples a < b < c ..., in lexicographic order, the flat index of (a, t) in
+    (k, T), and the (k, T) mask of their rows."""
+    rows = np.array(list(itertools.combinations(range(k), n)), dtype=np.intp).T.reshape(n, -1)
+    t, E = np.arange(rows.shape[1]), np.zeros((k, n - 1, rows.shape[1]))
+    E[rows[1:], np.arange(n - 1)[:, None], t], E[rows[0], :, t] = 1.0, -1.0
+    through = (np.arange(k)[:, None] == rows[:, None]).any(axis=0) * 1.0
+    return E.reshape(k, -1), rows[0] * len(t) + t, through
+
+
+# N . x = det[P; Q; R; x] in R^4: N_l sums sign * P_c times the 2 x 2 minor of Q and R on the two
+# columns other than l and c (its index in ``_pairs(4)``), over the three columns c != l
+_COFACTORS = (
+    np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
+    np.array([[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]]),
+    np.array([[-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]] * 2)[..., None],
+)
+
+
+def _normal(P, Q, R=None):
+    """The normal N along axis 1 of the n - 1 vectors P, Q (, R) of (G, n, T) stacks in R^n,
+    n = 3 or 4, with N . x = det[P; Q; (R;) x]: their cross product in R^3, cofactors in R^4."""
+    if R is None:
+        return _cross(P, Q, 1)
+    (a, b), (c, w, sign) = _pairs(4), _COFACTORS
+    minors = np.take(Q, a, 1) * np.take(R, b, 1) - np.take(Q, b, 1) * np.take(R, a, 1)
+    return (np.take(P, c, 1) * np.take(minors, w, 1) * sign).sum(axis=2)
 
 
 def _planes(V, scale):
-    """The vertex-triple planes of a (G, k, 3) stack at (G,) scales, the one enumeration that the
-    R^3 hull and pair screens read: (N (G, 3, T), h (G, k, T), o (G, T), |N| (G, T), up (G, T),
-    down (G, T), through (k, T)).
+    """The vertex n-tuple planes of a (G, k, n) stack at (G,) scales, n = 3 or 4, the one
+    enumeration that the R^3 hull and the R^3 and R^4 pair screens read: (N (G, n, T), h (G, k, T),
+    o (G, T), |N| (G, T), up (G, T), down (G, T), through (k, T)).
 
-    On X = (V - V[0]) / scale, |X| <= 1 (rounded relative to V - V[0], not to the offset), triple
-    a < b < c spans N = (X_b - X_a) x (X_c - X_a), with heights h_x = N X_x and o = h_a that
-    rounding moves by under 2^-48. Its plane is accepted up (down) if N != 0 and h_x - o <= REL_TOL
+    On X = (V - V[0]) / scale, |X| <= 1 (rounded relative to V - V[0], not to the offset), tuple
+    a < b < ... spans the ``_normal`` N of X_b - X_a, X_c - X_a, ..., with heights h_x = N X_x and
+    o = h_a that rounding moves by under 2^-48 in R^3 and 2^-47 in R^4 (derived at
+    ``exposed._tangent_drops``). Its plane is accepted up (down) if N != 0 and h_x - o <= REL_TOL
     (>= -REL_TOL) at every row x: every facet of conv(X) is, in its outward sign, and a flat plane
     both ways.
     """
-    X, (E, at, through) = (V - V[:, :1]) / scale[:, None, None], _triples(V.shape[1])
-    P, Q = np.split(np.matmul(X.swapaxes(1, 2), E), 2, axis=2)  # (G, 3, T): X_b - X_a, X_c - X_a
-    N = _cross(P, Q, 1)
+    X, (E, at, through) = (V - V[:, :1]) / scale[:, None, None], _tuples(*V.shape[1:])
+    rows = np.matmul(X.swapaxes(1, 2), E).reshape(len(V), V.shape[2], -1, len(at))
+    N = _normal(*rows.transpose(2, 0, 1, 3))  # (G, n, T), of the (G, n, n - 1, T) rows
     h = np.matmul(X, N)  # (G, k, T): N X_x, reduced over the rows (axis 1)
     o, norm = np.take(h.reshape(len(h), -1), at, axis=1), np.sqrt((N * N).sum(axis=1))
     up = (h.max(axis=1) - o <= REL_TOL) & (norm > 0.0)

@@ -537,7 +537,7 @@ def test_the_ray_screen_agrees_with_exact_arithmetic(kernel):
         assert _diameter_pairs(P) == [(d.i, d.j) for d in exposed_diameters(P)]
         open_ = np.triu(~_screen(P), 1)
         kept, left = _ray_screen(P, open_)
-        tangent = _tangent_drops(P) if P.dim == 3 else np.zeros_like(open_)
+        tangent = _tangent_drops(P)[0] if P.dim == 3 else np.zeros_like(open_)
         for i, j in zip(*np.nonzero(open_)):
             if kept[i, j]:
                 assert _exact(P, i, j) > _bar(P)
@@ -553,6 +553,117 @@ def test_the_ray_screen_agrees_with_exact_arithmetic(kernel):
     assert verdicts["kept"] > 250 and verdicts["left"] > 56
     assert verdicts["dropped in R^2", "rays"] > 200
     assert verdicts["dropped in R^3", "tangent"] > 250 and verdicts["dropped in R^3", "rays"] > 10
+
+
+def _tesseracts():
+    """The unit tesseract, and turned by a seeded rotation: a pair along an edge or a 2- or 3-face
+    diagonal has a ray or a flat C (delta* = 0), and each vertex is in 4-tuples that span only a
+    2-plane (N = 0 or a plane accepted both ways), which block its tangent drops."""
+    X = np.array(list(itertools.product((0.0, 1.0), repeat=4)))
+    Q = np.linalg.qr(np.random.default_rng(35).standard_normal((4, 4)))[0]
+    return [extreme_points(X), extreme_points(X @ Q)]
+
+
+def _pyramids():
+    """(P, turned P, rotation) for seeded pyramids over 5 to 7 Gaussian points in R^3 x {0}, each
+    under six rotations: a chord between base vertices lies on the base facet exactly in P, and
+    within rounding of it when turned."""
+    rng = np.random.default_rng(35)
+    out = []
+    for _ in range(5):
+        base = np.insert(rng.standard_normal((int(rng.integers(5, 8)), 3)), 3, 0.0, axis=1)
+        X = np.vstack([base, np.append(0.3 * rng.standard_normal(3), 1.0)])
+        for Q in np.linalg.qr(rng.standard_normal((6, 4, 4)))[0]:
+            out.append((extreme_points(X), extreme_points(X @ Q), Q))
+    return out
+
+
+def _r4_corpus():
+    """Seeded R^4 bodies for the ray screen's R^4 stage: Gaussian bodies, sphere bodies, slabs and
+    needles (axes scaled by 0.05 to 1), integer grids of them, a vertex c tol off a facet
+    (c = 2^x / 2, x in U(0, 7)), a near-duplicate 0.5 to 16 tol off a vertex (crowded, item 7's
+    kind), turned pyramids and the translated bodies of dimension 4."""
+    rng = np.random.default_rng(35)
+    bodies = []
+    for s in range(12):
+        X = rng.standard_normal((int(rng.integers(6, 9)), 4))
+        if s % 4 == 1:
+            X /= np.linalg.norm(X, axis=1)[:, None]
+        elif s % 4 == 2:
+            X *= rng.uniform(0.05, 1.0, 4)
+        elif s % 4 == 3:
+            X = np.round(3.0 * X * rng.uniform(0.05, 1.0, 4))
+        bodies.append(extreme_points(X))
+    for s in range(4):
+        P = random_polytope(4, 7, 3500 + s)
+        a, b = P.vertices[:4], P.vertices[:4].mean(axis=0)  # a facet, or a plane through the hull
+        normal = np.linalg.svd(np.vstack([a[1:] - a[0], np.zeros(4)]))[2][-1]
+        normal *= np.sign(normal @ (b - P.vertices.mean(axis=0))) or 1.0
+        c = 2.0 ** rng.uniform(-1.0, 6.0) * REL_TOL * P.scale
+        bodies.append(extreme_points(np.vstack([P.vertices, b + c * normal])))
+    for _ in range(3):
+        X = rng.standard_normal((6, 4))
+        step = rng.standard_normal(4)
+        step *= REL_TOL * rng.uniform(0.5, 16.0) * extreme_points(X).scale / np.linalg.norm(step)
+        bodies.append(extreme_points(np.vstack([X, X[0] + step])))
+    bodies += [turned for _, turned, _ in _pyramids()[::6]]
+    bodies += [P for P in _translated_bodies() if P.dim == 4]
+    return [P for P in bodies if P.num_vertices > 4]
+
+
+def _exact_gap(D, u):
+    """Exact min(D u) of the float rows D (m, n) at the float direction u (n,)."""
+    u = [Fraction(x) for x in u.tolist()]
+    return min(sum(Fraction(x) * y for x, y in zip(d, u)) for d in D.tolist())
+
+
+def _screened_gap(P, i, j, U):
+    """The best exact min(D u) on the pair program of rows i < j over the rows u of U whose argmax
+    and argmin over P are i and j, each scaled and turned as ``_screen`` does."""
+    D = _pair_programs(P.vertices, np.array([i]), np.array([j]))[0]
+    gaps = [Fraction(-1)]
+    for u in U / np.abs(U).max(axis=1, keepdims=True):
+        a, b = (P.vertices @ u).argmax(), (P.vertices @ u).argmin()
+        if {a, b} == {i, j}:
+            gaps.append(_exact_gap(D, u if a == i else -u))
+    return max(gaps)
+
+
+@pytest.mark.parametrize("kernel", ["active", "c"], indirect=True)
+def test_the_r4_stage_agrees_with_exact_arithmetic(monkeypatch, kernel):
+    # every open R^4 pair the ray screen drops (by tangent cones) has exact delta* = 0 and every one
+    # it keeps (by summed plane normals) exact delta* > 4 sqrt(n) tol, shown by exact min(D u) on
+    # a direction it screened; the tesseracts' open pairs reach the LP; turning a pyramid drops
+    # what it dropped unturned; and the diameter pairs are those of the full enumeration
+    tried, screen = [], homproj.exposed._screen
+    monkeypatch.setattr(
+        homproj.exposed, "_screen", lambda P, U=None: tried.append(U) or screen(P, U)
+    )
+    verdicts = Counter()
+    for P in _r4_corpus() + _tesseracts():
+        assert _rays_apply(P)
+        assert _diameter_pairs(P) == [(d.i, d.j) for d in exposed_diameters(P)]
+        open_ = np.triu(~_screen(P), 1)
+        kept, left = _ray_screen(P, open_)
+        for i, j in zip(*np.nonzero(open_)):
+            if kept[i, j]:
+                assert _screened_gap(P, i, j, tried[-1]) > _bar(P) or _exact(P, i, j) > _bar(P)
+                verdicts["kept"] += 1
+            elif left[i, j]:
+                verdicts["left"] += 1
+            else:
+                assert _exact(P, i, j) == 0
+                verdicts["dropped"] += 1
+    for P in _tesseracts():
+        open_ = np.triu(~_screen(P), 1)
+        assert open_.any() and (_ray_screen(P, open_)[1] == open_).all()
+    for P, turned, Q in _pyramids():
+        rows = np.abs((turned.vertices @ Q.T)[:, None] - P.vertices).sum(axis=2).argmin(axis=1)
+        drops = [np.nonzero(np.triu(_tangent_drops(B)[0], 1)) for B in (P, turned)]
+        assert {frozenset(ij) for ij in zip(*drops[0])} == {
+            frozenset(rows[[i, j]]) for i, j in zip(*drops[1])
+        }
+    assert verdicts["kept"] > 180 and verdicts["dropped"] > 90 and verdicts["left"] > 350
 
 
 def _mirror_pair_body():
@@ -578,21 +689,25 @@ def test_the_mirror_pair_is_left_to_the_lp(monkeypatch):
 
 def test_the_corpus_checks_send_no_pair_lp_in_the_plane_and_in_space(monkeypatch):
     # the chord and ray screens decide every pair of the benchmark's seeded R^2 and R^3 bodies, so
-    # theorem 2 and no-parallel make no margin LP call there; an R^4 body still makes its one call
+    # theorem 2 and no-parallel make no margin LP call there; an R^4 body still makes its one call,
+    # and the ten R^4 bodies send 79 pair LPs in all, 286 before the ray screen's R^4 stage
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     corpus = importlib.import_module("workloads").make_corpus(7, 30)
     calls, real = [], homproj.exposed.margin_directions
     monkeypatch.setattr(
         homproj.exposed, "margin_directions", lambda Ds: calls.append(len(Ds)) or real(Ds)
     )
+    sent = 0
     for P in corpus:
         calls.clear()
         verify_theorem2(P)
         assert P.dim == 4 or not calls
+        sent += sum(calls)
         calls.clear()
         verify_no_parallel_diameters(P)
         assert len(calls) == (P.dim == 4)
-    assert {P.dim for P in corpus} == {2, 3, 4}
+        sent += sum(calls)
+    assert {P.dim for P in corpus} == {2, 3, 4} and sent == 79
 
 
 @pytest.mark.parametrize("k, rays", [(21, True), (22, False)])
@@ -610,6 +725,27 @@ def test_a_set_past_the_size_bound_takes_the_lp(monkeypatch, k, rays):
     monkeypatch.setattr(homproj.exposed, "margin_directions", lambda Ds: lps.append(1) or real(Ds))
     pairs = _diameter_pairs(P)
     assert P.num_vertices == k and len(screens) == rays and bool(lps) != rays
+    assert pairs == [(d.i, d.j) for d in exposed_diameters(P)]
+
+
+@pytest.mark.parametrize("k, stage", [(16, True), (17, False)])
+def test_an_r4_set_past_the_size_bound_takes_the_lp(monkeypatch, k, stage):
+    # the R^4 stage's k C(k, 4) plane heights stay within CHUNK_CELLS up to k = 16; a larger set
+    # sends every pair the chords leave open to the LP, a set inside the bound fewer, and either way
+    # the pairs are the enumeration's
+    X = np.random.default_rng(k).standard_normal((k, 4))
+    P = extreme_points(X / np.linalg.norm(X, axis=1)[:, None])
+    screens, sent = [], []
+    screen, real = homproj.exposed._ray_screen, homproj.exposed.margin_directions
+    monkeypatch.setattr(
+        homproj.exposed, "_ray_screen", lambda P, o: screens.append(1) or screen(P, o)
+    )
+    monkeypatch.setattr(
+        homproj.exposed, "margin_directions", lambda Ds: sent.append(len(Ds)) or real(Ds)
+    )
+    pairs, open_ = _diameter_pairs(P), np.triu(~_screen(P), 1).sum()
+    assert P.num_vertices == k and len(screens) == stage
+    assert sum(sent) < open_ if stage else sum(sent) == open_
     assert pairs == [(d.i, d.j) for d in exposed_diameters(P)]
 
 
